@@ -1,27 +1,29 @@
-// Wire-path evaluation: what the pooled zero-copy frame layer buys
-// over the per-parcel sealed encoding, measured where it matters —
-// heap allocations, bytes copied, and wall-clock per parcel.
+// Wire-path evaluation: what the pooled zero-copy TOX3 frame layer
+// costs over wire-free struct moves, measured where it matters — heap
+// allocations, bytes copied, and wall-clock per parcel.
 //
 // Every heap allocation in the process is counted by overriding the
 // global operator new/delete, so the numbers are ground truth, not
 // instrumentation estimates. For each shape (the paper's 8x8 and the
-// 3D 8x4x4) six executors run over identical payloads:
+// 3D 8x4x4) five executors run over identical payloads:
 //
-//   plain             exchange_payloads (struct moves, no wire)
-//   sealed_per_parcel exchange_payloads_sealed, WirePath::kPerParcel
-//   sealed_pooled     exchange_payloads_sealed, WirePath::kPooled
-//   pooled_paper      exchange_payloads_pooled, §3.3 layout
-//   pooled_naive      exchange_payloads_pooled, naive destination order
-//   pooled_strided    strided user-buffer views (columns of row-major
-//                     matrices) through seed/scatter_parcels_strided,
-//                     naive destination order — every message is a
-//                     true multi-run frame
+//   plain           exchange_payloads (struct moves, no wire)
+//   sealed_pooled   exchange_payloads_sealed (caller order, gathered
+//                   multi-run frames)
+//   pooled_paper    exchange_payloads_pooled, §3.3 layout
+//   pooled_naive    exchange_payloads_pooled, naive destination order
+//   pooled_strided  strided user-buffer views (columns of row-major
+//                   matrices) through seed/scatter_parcels_strided,
+//                   naive destination order — every message is a
+//                   true multi-run frame
 //
 // The bench is self-checking and exits non-zero on regression:
-//   * the sealed_pooled wire must allocate >= 2x less than the
-//     sealed_per_parcel wire, measured above the plain baseline (the
-//     pooled wire's steady-state cost is zero: frames recycle);
-//   * sealed_pooled must copy fewer payload bytes than per-parcel;
+//   * sealed_pooled must copy exactly two payload passes — each
+//     parcel gathered into a frame once and spliced out once, so
+//     bytes_copied == 2 x parcels x sizeof(Parcel<int64_t>);
+//   * sealed_pooled must stay under the same allocs-per-step budget as
+//     pooled_paper, and its warm arena must serve at least as many
+//     frames from the pool as it allocates fresh;
 //   * sealed_pooled must stay within 2.5x the plain path's ns/parcel
 //     on the 2D shape (the v3 run-gather + fast-CRC wire budget);
 //   * pooled_paper must stay under a fixed allocs-per-step budget
@@ -75,10 +77,11 @@ namespace {
 
 using namespace torex;
 
-/// Allocations-per-step ceiling for the warm pooled paper path. The
-/// steady-state wire itself allocates nothing (frames recycle through
-/// the arena); what remains is buffer growth and the phase-boundary
-/// stable_sort scratch, both O(N) per phase. The budget is deliberately
+/// Allocations-per-step ceiling for the warm framed paths (pooled
+/// paper, sealed, strided). The steady-state wire itself allocates
+/// nothing (frames recycle through the arena); what remains is buffer
+/// growth and the phase-boundary stable_sort scratch, both O(N) per
+/// phase. The budget is deliberately
 /// a hard constant: if a change re-introduces per-message allocation,
 /// allocs-per-step jumps by ~the message count and this trips.
 constexpr double kAllocBudgetPerStep = 512.0;
@@ -211,17 +214,6 @@ int main(int argc, char** argv) {
     {
       WireArena arena;
       IntegrityOptions options;
-      options.wire_path = WirePath::kPerParcel;
-      options.arena = &arena;
-      run_path("sealed_per_parcel", &arena, [&](ParcelBuffers<std::int64_t> parcels) {
-        exchange_payloads_sealed(algo, std::move(parcels), {}, options);
-      });
-    }
-
-    {
-      WireArena arena;
-      IntegrityOptions options;
-      options.wire_path = WirePath::kPooled;
       options.arena = &arena;
       run_path("sealed_pooled", &arena, [&](ParcelBuffers<std::int64_t> parcels) {
         exchange_payloads_sealed(algo, std::move(parcels), {}, options);
@@ -302,26 +294,24 @@ int main(int argc, char** argv) {
     std::cout << "\n";
 
     const PathResult& plain = results[0];
-    const PathResult& per_parcel = results[1];
-    const PathResult& sealed_pooled = results[2];
-    const PathResult& pooled_paper = results[3];
-    const PathResult& pooled_naive = results[4];
-    const PathResult& pooled_strided = results[5];
+    const PathResult& sealed_pooled = results[1];
+    const PathResult& pooled_paper = results[2];
+    const PathResult& pooled_naive = results[3];
+    const PathResult& pooled_strided = results[4];
     const std::string tag = " (" + shape.to_string() + ")";
 
-    // Wire-attributable allocations: the plain path (no wire at all)
-    // is the baseline; what a sealed path allocates beyond it is what
-    // the wire layer costs. The pooled wire must cost >= 2x less than
-    // the per-parcel wire — in steady state it costs zero (every frame
-    // is recycled), so this holds with a wide margin.
-    const double per_parcel_wire = per_parcel.allocs_per_step - plain.allocs_per_step;
-    const double pooled_wire = sealed_pooled.allocs_per_step - plain.allocs_per_step;
-    check(per_parcel_wire > 0,
-          "per-parcel wire must allocate above the plain baseline" + tag);
-    check(pooled_wire * 2.0 <= per_parcel_wire,
-          "pooled wire must allocate >= 2x less than per-parcel wire" + tag);
-    check(sealed_pooled.stats.bytes_copied < per_parcel.stats.bytes_copied,
-          "pooled sealed path must copy fewer bytes than per-parcel" + tag);
+    // Exact structural gates on the sealed wire: every parcel is copied
+    // twice (gathered into its frame, spliced out of it) and never
+    // more, frames recycle through the warm arena, and the steady-state
+    // wire stays inside the allocation budget.
+    check(sealed_pooled.stats.bytes_copied ==
+              2 * sealed_pooled.stats.parcels *
+                  static_cast<std::int64_t>(sizeof(Parcel<std::int64_t>)),
+          "sealed_pooled must copy exactly 2 x parcels x sizeof(Parcel)" + tag);
+    check(sealed_pooled.allocs_per_step <= kAllocBudgetPerStep,
+          "sealed pooled path exceeded the alloc budget" + tag);
+    check(sealed_pooled.stats.pool_misses <= sealed_pooled.stats.pool_hits,
+          "warm arena should serve most sealed frames from the pool" + tag);
     check(pooled_paper.allocs_per_step <= kAllocBudgetPerStep,
           "pooled paper path exceeded the alloc budget" + tag);
     check(pooled_paper.stats.pool_misses <= pooled_paper.stats.pool_hits,

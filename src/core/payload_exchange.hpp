@@ -151,6 +151,50 @@ void check_parcel_postcondition(Rank N, const ParcelBuffers<T>& buffers) {
   }
 }
 
+/// The wire-free move step for node `p` in (phase, step): stably
+/// partitions `buf` so the parcels it sends sit at the end, then moves
+/// them, in buffer order, onto the end of the partner's inbox slot.
+/// Returns how many parcels moved.
+template <typename T>
+std::size_t move_send_set(const SuhShinAape& algo, Rank p, int phase, int step,
+                          std::vector<Parcel<T>>& buf, ParcelBuffers<T>& inbox) {
+  auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Parcel<T>& x) {
+    return !algo.should_send(p, phase, step, x.block);
+  });
+  const auto moved = static_cast<std::size_t>(std::distance(split, buf.end()));
+  if (moved == 0) return 0;
+  auto& in = inbox[static_cast<std::size_t>(algo.partner(p, phase, step))];
+  in.insert(in.end(), std::make_move_iterator(split), std::make_move_iterator(buf.end()));
+  buf.erase(split, buf.end());
+  return moved;
+}
+
+/// The wire-free phase→step loop: every step moves each node's send
+/// set into its partner's inbox, then appends each inbox to its node's
+/// buffer.
+template <typename T>
+void run_move_exchange(const SuhShinAape& algo, ParcelBuffers<T>& buffers, Recorder* obs) {
+  const Rank N = algo.shape().num_nodes();
+  ParcelBuffers<T> inbox(static_cast<std::size_t>(N));
+  for (int phase = 1; phase <= algo.num_phases(); ++phase) {
+    SpanGuard phase_span(obs, "phase", -1, phase);
+    for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
+      SpanGuard step_span(obs, "step", -1, phase, step);
+      for (Rank p = 0; p < N; ++p) {
+        move_send_set(algo, p, phase, step, buffers[static_cast<std::size_t>(p)], inbox);
+      }
+      for (Rank p = 0; p < N; ++p) {
+        auto& in = inbox[static_cast<std::size_t>(p)];
+        if (in.empty()) continue;
+        auto& buf = buffers[static_cast<std::size_t>(p)];
+        buf.insert(buf.end(), std::make_move_iterator(in.begin()),
+                   std::make_move_iterator(in.end()));
+        in.clear();
+      }
+    }
+  }
+}
+
 }  // namespace detail
 
 /// Runs the full schedule over `initial` parcels. Requirements:
@@ -165,409 +209,25 @@ ParcelBuffers<T> exchange_payloads(const SuhShinAape& algo, ParcelBuffers<T> buf
   detail::require_canonical_parcel_seed(N, buffers);
   if (obs != nullptr && !obs->enabled()) obs = nullptr;
   SpanGuard exchange_span(obs, "exchange");
-
-  ParcelBuffers<T> inbox(static_cast<std::size_t>(N));
-  for (int phase = 1; phase <= algo.num_phases(); ++phase) {
-    SpanGuard phase_span(obs, "phase", -1, phase);
-    for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
-      SpanGuard step_span(obs, "step", -1, phase, step);
-      for (Rank p = 0; p < N; ++p) {
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Parcel<T>& x) {
-          return !algo.should_send(p, phase, step, x.block);
-        });
-        if (split == buf.end()) continue;
-        const Rank q = algo.partner(p, phase, step);
-        auto& in = inbox[static_cast<std::size_t>(q)];
-        in.insert(in.end(), std::make_move_iterator(split),
-                  std::make_move_iterator(buf.end()));
-        buf.erase(split, buf.end());
-      }
-      for (Rank p = 0; p < N; ++p) {
-        auto& in = inbox[static_cast<std::size_t>(p)];
-        if (in.empty()) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        buf.insert(buf.end(), std::make_move_iterator(in.begin()),
-                   std::make_move_iterator(in.end()));
-        in.clear();
-      }
-    }
-  }
-
+  detail::run_move_exchange(algo, buffers, obs);
   detail::check_parcel_postcondition(N, buffers);
   return buffers;
 }
 
-// --- Sealed exchange ---------------------------------------------------
+// --- Sealed wire frames (TOX3) -----------------------------------------
 //
-// The self-checking variant of exchange_payloads: every message is
-// serialized to wire bytes with per-parcel seals (origin, dest, phase,
-// step, CRC-32 over header + payload) plus a checksummed message
-// header, optionally tampered with in flight (ParcelTamperer), and
-// verified by the receiver before integration. Detection triggers a
-// bounded retransmit; exhaustion raises IntegrityError. Restricted to
-// trivially copyable payloads because sealing hashes the payload's
-// object representation.
-
-namespace detail {
-
-inline constexpr std::uint32_t kSealedMagic = 0x544F5831u;  // "TOX1"
-
-/// Seal digest of one parcel: binds payload bytes to the parcel's
-/// identity and the schedule step it was transmitted in.
-inline std::uint32_t parcel_seal(Rank origin, Rank dest, int phase, int step,
-                                 const void* payload, std::size_t payload_len) {
-  Crc32 crc;
-  crc.update_value(static_cast<std::int64_t>(origin));
-  crc.update_value(static_cast<std::int64_t>(dest));
-  crc.update_value(static_cast<std::int32_t>(phase));
-  crc.update_value(static_cast<std::int32_t>(step));
-  crc.update(payload, payload_len);
-  return crc.value();
-}
-
-}  // namespace detail
-
-/// Serializes one step's message (all parcels `src` ships to `dst` in
-/// (phase, step)) into sealed wire bytes.
-template <typename T>
-std::vector<std::byte> encode_sealed_message(const std::vector<Parcel<T>>& parcels, int phase,
-                                             int step, Rank src, Rank dst) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "sealed exchange requires trivially copyable payloads");
-  TOREX_REQUIRE(phase >= 0 && step >= 0 && src >= 0 && dst >= 0,
-                "sealed message metadata must be non-negative");
-  std::vector<std::byte> wire;
-  wire.reserve(40 + parcels.size() * (28 + sizeof(T)));
-  wire_put_u32(wire, detail::kSealedMagic);
-  wire_put_u32(wire, static_cast<std::uint32_t>(phase));
-  wire_put_u32(wire, static_cast<std::uint32_t>(step));
-  wire_put_u64(wire, static_cast<std::uint64_t>(static_cast<std::int64_t>(src)));
-  wire_put_u64(wire, static_cast<std::uint64_t>(static_cast<std::int64_t>(dst)));
-  wire_put_u64(wire, static_cast<std::uint64_t>(parcels.size()));
-  wire_put_u32(wire, crc32(wire.data(), wire.size()));
-  for (const auto& parcel : parcels) {
-    wire_put_u64(wire, static_cast<std::uint64_t>(static_cast<std::int64_t>(parcel.block.origin)));
-    wire_put_u64(wire, static_cast<std::uint64_t>(static_cast<std::int64_t>(parcel.block.dest)));
-    wire_put_u64(wire, static_cast<std::uint64_t>(sizeof(T)));
-    const std::size_t at = wire.size();
-    wire.resize(at + sizeof(T));
-    std::memcpy(wire.data() + at, &parcel.payload, sizeof(T));
-    wire_put_u32(wire, detail::parcel_seal(parcel.block.origin, parcel.block.dest, phase, step,
-                                           wire.data() + at, sizeof(T)));
-  }
-  return wire;
-}
-
-/// Verifies and deserializes a sealed message. Returns false (with
-/// `reason` filled when non-null) on any integrity violation: short or
-/// oversized buffer, bad magic, header/seal checksum mismatch, metadata
-/// that does not match the expected (phase, step, src, dst), or parcel
-/// identities out of range. On success `out` holds the parcels.
-template <typename T>
-bool decode_sealed_message(const std::vector<std::byte>& wire, int phase, int step, Rank src,
-                           Rank dst, Rank num_nodes, std::vector<Parcel<T>>& out,
-                           std::string* reason = nullptr) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "sealed exchange requires trivially copyable payloads");
-  out.clear();
-  auto fail = [&](const char* what) {
-    if (reason != nullptr) *reason = what;
-    out.clear();
-    return false;
-  };
-  if (phase < 0 || step < 0 || src < 0 || dst < 0) return fail("negative message metadata");
-  std::size_t offset = 0;
-  std::uint32_t magic = 0, wire_phase = 0, wire_step = 0, header_crc = 0;
-  std::uint64_t wire_src = 0, wire_dst = 0, count = 0;
-  if (!wire_get_u32(wire, offset, magic) || !wire_get_u32(wire, offset, wire_phase) ||
-      !wire_get_u32(wire, offset, wire_step) || !wire_get_u64(wire, offset, wire_src) ||
-      !wire_get_u64(wire, offset, wire_dst) || !wire_get_u64(wire, offset, count)) {
-    return fail("truncated message header");
-  }
-  const std::size_t header_len = offset;
-  if (!wire_get_u32(wire, offset, header_crc)) return fail("truncated message header");
-  if (header_crc != crc32(wire.data(), header_len)) return fail("header checksum mismatch");
-  if (magic != detail::kSealedMagic) return fail("bad magic");
-  if (wire_phase != static_cast<std::uint32_t>(phase) ||
-      wire_step != static_cast<std::uint32_t>(step)) {
-    return fail("message sealed for a different step");
-  }
-  if (wire_src != static_cast<std::uint64_t>(static_cast<std::int64_t>(src)) ||
-      wire_dst != static_cast<std::uint64_t>(static_cast<std::int64_t>(dst))) {
-    return fail("message sealed for a different channel");
-  }
-  // Never trust the wire's count: bound it by the bytes actually
-  // present (each parcel record is at least its 28-byte header plus
-  // the payload) before the parse loop, and size `out` only after the
-  // bound holds, so a forged count cannot drive the loop or the
-  // allocator beyond the message.
-  constexpr std::uint64_t kParcelWireBytes = 28 + sizeof(T);
-  if (count > (wire.size() - offset) / kParcelWireBytes) {
-    return fail("parcel count exceeds message size");
-  }
-  out.reserve(count);
-  const std::uint64_t N = static_cast<std::uint64_t>(num_nodes);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t origin = 0, dest = 0, payload_len = 0;
-    if (!wire_get_u64(wire, offset, origin) || !wire_get_u64(wire, offset, dest) ||
-        !wire_get_u64(wire, offset, payload_len)) {
-      return fail("truncated parcel header");
-    }
-    if (origin >= N || dest >= N) return fail("parcel identity out of range");
-    if (payload_len != sizeof(T)) return fail("parcel payload length mismatch");
-    if (wire.size() < offset + sizeof(T)) return fail("truncated parcel payload");
-    const std::byte* payload_at = wire.data() + offset;
-    offset += sizeof(T);
-    std::uint32_t seal = 0;
-    if (!wire_get_u32(wire, offset, seal)) return fail("truncated parcel seal");
-    const Rank parcel_origin = static_cast<Rank>(origin);
-    const Rank parcel_dest = static_cast<Rank>(dest);
-    if (seal != detail::parcel_seal(parcel_origin, parcel_dest, phase, step, payload_at,
-                                    sizeof(T))) {
-      return fail("parcel seal mismatch");
-    }
-    Parcel<T> parcel;
-    parcel.block = Block{parcel_origin, parcel_dest};
-    std::memcpy(&parcel.payload, payload_at, sizeof(T));
-    out.push_back(std::move(parcel));
-  }
-  if (offset != wire.size()) return fail("trailing bytes after last parcel");
-  return true;
-}
-
-// --- Batched wire frames (the pooled zero-copy encoding) ---------------
-//
-// The per-parcel format above seals each parcel separately: flexible,
-// but every message costs one allocation plus a resize+memcpy per
-// parcel. The frame format instead ships one 48-byte header followed
-// by the raw contiguous run of Parcel<T> object representations and a
-// trailing CRC over the whole frame — so a §3.3-contiguous send is a
-// single memcpy in, and verification + integration read the run in
-// place through a non-owning view. Both CRCs (header, frame) must
-// match and the byte count must be exact, so any bit flip or
-// truncation anywhere in the frame is detected, same as the
-// per-parcel seals.
-//
-// Frame layout (little-endian):
-//   [ 0) magic u32  "TOX2"
-//   [ 4) phase u32        [ 8) step u32
-//   [12) src u64          [20) dst u64
-//   [28) count u64        [36) parcel_size u64
-//   [44) header crc u32 over bytes [0, 44)
-//   [48) count * parcel_size raw parcel bytes
-//   [..) frame crc u32 over bytes [0, 48 + run)
-
-namespace detail {
-
-inline constexpr std::uint32_t kFrameMagic = 0x544F5832u;  // "TOX2"
-inline constexpr std::size_t kFrameHeaderBytes = 48;
-inline constexpr std::size_t kFrameTrailerBytes = 4;
-
-/// Starts a frame: clears `frame` and reserves the header slot (the
-/// header is patched by frame_finish once the parcel count is known,
-/// so gather loops can append runs without a counting pre-pass).
-inline void frame_begin(std::vector<std::byte>& frame, std::size_t parcel_bytes_hint = 0) {
-  frame.clear();
-  frame.reserve(kFrameHeaderBytes + parcel_bytes_hint + kFrameTrailerBytes);
-  frame.resize(kFrameHeaderBytes);
-}
-
-/// Appends one contiguous run of parcels to a begun frame (a single
-/// memcpy of the run's object representation). Returns the run's size
-/// in bytes.
-template <typename T>
-std::size_t frame_append_run(std::vector<std::byte>& frame, const Parcel<T>* run,
-                             std::size_t count) {
-  static_assert(std::is_trivially_copyable_v<Parcel<T>>,
-                "framed exchange requires trivially copyable parcels");
-  const std::size_t bytes = count * sizeof(Parcel<T>);
-  if (bytes == 0) return 0;
-  const std::size_t at = frame.size();
-  frame.resize(at + bytes);
-  std::memcpy(frame.data() + at, run, bytes);
-  return bytes;
-}
-
-/// Patches the header and appends the trailing frame CRC. `count` must
-/// equal the parcels appended since frame_begin.
-template <typename T>
-void frame_finish(std::vector<std::byte>& frame, std::size_t count, int phase, int step,
-                  Rank src, Rank dst) {
-  TOREX_REQUIRE(phase >= 0 && step >= 0 && src >= 0 && dst >= 0,
-                "sealed message metadata must be non-negative");
-  TOREX_CHECK(frame.size() == kFrameHeaderBytes + count * sizeof(Parcel<T>),
-              "frame run bytes disagree with parcel count");
-  std::byte* h = frame.data();
-  wire_write_u32(h + 0, kFrameMagic);
-  wire_write_u32(h + 4, static_cast<std::uint32_t>(phase));
-  wire_write_u32(h + 8, static_cast<std::uint32_t>(step));
-  wire_write_u64(h + 12, static_cast<std::uint64_t>(static_cast<std::int64_t>(src)));
-  wire_write_u64(h + 20, static_cast<std::uint64_t>(static_cast<std::int64_t>(dst)));
-  wire_write_u64(h + 28, static_cast<std::uint64_t>(count));
-  wire_write_u64(h + 36, static_cast<std::uint64_t>(sizeof(Parcel<T>)));
-  // One streaming pass over the whole frame: the header digest is
-  // sampled mid-stream (value() does not consume the accumulator),
-  // patched into [44, 48), and those bytes then feed the same
-  // accumulator so the trailing digest covers them too.
-  Crc32 crc;
-  crc.update(frame.data(), 44);
-  wire_write_u32(h + 44, crc.value());
-  crc.update(frame.data() + 44, frame.size() - 44);
-  const std::uint32_t frame_crc = crc.value();
-  const std::size_t at = frame.size();
-  frame.resize(at + kFrameTrailerBytes);
-  wire_write_u32(frame.data() + at, frame_crc);
-}
-
-/// Adds a wire-stats delta to the recorder's metric counters.
-inline void publish_wire_metrics(Recorder* obs, const WirePoolStats& d) {
-  if (obs == nullptr) return;
-  MetricsRegistry& m = obs->metrics();
-  m.counter("wire.messages").add(d.messages);
-  m.counter("wire.parcels").add(d.parcels);
-  m.counter("wire.pool_hits").add(d.pool_hits);
-  m.counter("wire.pool_misses").add(d.pool_misses);
-  m.counter("wire.bytes_encoded").add(d.bytes_encoded);
-  m.counter("wire.bytes_copied").add(d.bytes_copied);
-  m.counter("wire.contiguous_sends").add(d.contiguous_sends);
-  m.counter("wire.gathered_parcels").add(d.gathered_parcels);
-  m.counter("wire.runs_encoded").add(d.runs_encoded);
-}
-
-}  // namespace detail
-
-/// Encodes one message (a single contiguous run) as a sealed frame.
-template <typename T>
-void encode_sealed_frame(const Parcel<T>* run, std::size_t count, int phase, int step, Rank src,
-                         Rank dst, std::vector<std::byte>& frame) {
-  detail::frame_begin(frame, count * sizeof(Parcel<T>));
-  detail::frame_append_run(frame, run, count);
-  detail::frame_finish<T>(frame, count, phase, step, src, dst);
-}
-
-/// Non-owning typed view over a verified frame's parcel run. Reads go
-/// through memcpy so the run may live at any alignment inside the
-/// frame bytes.
-template <typename T>
-class SealedFrameView {
- public:
-  SealedFrameView() = default;
-  SealedFrameView(const std::byte* run, std::size_t count) : run_(run), count_(count) {}
-
-  std::size_t count() const { return count_; }
-  const std::byte* run_bytes() const { return run_; }
-  std::size_t run_size() const { return count_ * sizeof(Parcel<T>); }
-
-  Block identity(std::size_t i) const {
-    Block b;
-    std::memcpy(&b, run_ + i * sizeof(Parcel<T>), sizeof(Block));
-    return b;
-  }
-
-  Parcel<T> parcel(std::size_t i) const {
-    Parcel<T> p;
-    std::memcpy(&p, run_ + i * sizeof(Parcel<T>), sizeof(Parcel<T>));
-    return p;
-  }
-
-  /// Appends the whole run to `out`: one grow plus one memcpy — the
-  /// zero-copy integrate (no per-parcel materialization).
-  void append_to(std::vector<Parcel<T>>& out) const {
-    const std::size_t old = out.size();
-    out.resize(old + count_);
-    std::memcpy(out.data() + old, run_, run_size());
-  }
-
- private:
-  const std::byte* run_ = nullptr;
-  std::size_t count_ = 0;
-};
-
-/// Verifies a sealed frame in place. On success `out` views the parcel
-/// run inside `wire` (which must outlive the view); on failure returns
-/// false with `reason` filled when non-null. Detects exactly the same
-/// corruption classes as decode_sealed_message: truncation, bit flips
-/// anywhere, wrong (phase, step) or channel, forged counts, and
-/// identities out of range.
-template <typename T>
-bool decode_sealed_frame(WireView wire, int phase, int step, Rank src, Rank dst, Rank num_nodes,
-                         SealedFrameView<T>& out, std::string* reason = nullptr) {
-  static_assert(std::is_trivially_copyable_v<Parcel<T>>,
-                "framed exchange requires trivially copyable parcels");
-  out = SealedFrameView<T>();
-  auto fail = [&](const char* what) {
-    if (reason != nullptr) *reason = what;
-    return false;
-  };
-  if (phase < 0 || step < 0 || src < 0 || dst < 0) return fail("negative message metadata");
-  if (wire.size() < detail::kFrameHeaderBytes + detail::kFrameTrailerBytes) {
-    return fail("truncated message header");
-  }
-  std::size_t offset = 0;
-  std::uint32_t magic = 0, wire_phase = 0, wire_step = 0, header_crc = 0;
-  std::uint64_t wire_src = 0, wire_dst = 0, count = 0, parcel_size = 0;
-  wire_get_u32(wire, offset, magic);
-  wire_get_u32(wire, offset, wire_phase);
-  wire_get_u32(wire, offset, wire_step);
-  wire_get_u64(wire, offset, wire_src);
-  wire_get_u64(wire, offset, wire_dst);
-  wire_get_u64(wire, offset, count);
-  wire_get_u64(wire, offset, parcel_size);
-  const std::size_t header_len = offset;
-  wire_get_u32(wire, offset, header_crc);
-  // One streaming pass verifies both digests: the accumulator is
-  // sampled after the header bytes and continued over the run.
-  Crc32 crc;
-  crc.update(wire.data(), header_len);
-  if (header_crc != crc.value()) return fail("header checksum mismatch");
-  if (magic != detail::kFrameMagic) return fail("bad magic");
-  if (wire_phase != static_cast<std::uint32_t>(phase) ||
-      wire_step != static_cast<std::uint32_t>(step)) {
-    return fail("message sealed for a different step");
-  }
-  if (wire_src != static_cast<std::uint64_t>(static_cast<std::int64_t>(src)) ||
-      wire_dst != static_cast<std::uint64_t>(static_cast<std::int64_t>(dst))) {
-    return fail("message sealed for a different channel");
-  }
-  if (parcel_size != sizeof(Parcel<T>)) return fail("parcel record size mismatch");
-  // Bound the wire's count by the bytes present before trusting it.
-  const std::size_t avail =
-      wire.size() - detail::kFrameHeaderBytes - detail::kFrameTrailerBytes;
-  if (count > avail / sizeof(Parcel<T>)) return fail("parcel count exceeds message size");
-  if (count * sizeof(Parcel<T>) != avail) return fail("frame size mismatch");
-  const std::size_t run_end = detail::kFrameHeaderBytes + avail;
-  std::uint32_t frame_crc = 0;
-  std::size_t trailer_at = run_end;
-  wire_get_u32(wire, trailer_at, frame_crc);
-  crc.update(wire.data() + header_len, run_end - header_len);
-  if (frame_crc != crc.value()) return fail("frame checksum mismatch");
-  SealedFrameView<T> view(wire.data() + detail::kFrameHeaderBytes,
-                          static_cast<std::size_t>(count));
-  const Rank N = num_nodes;
-  for (std::size_t i = 0; i < view.count(); ++i) {
-    const Block b = view.identity(i);
-    if (b.origin < 0 || b.origin >= N || b.dest < 0 || b.dest >= N) {
-      return fail("parcel identity out of range");
-    }
-  }
-  out = view;
-  return true;
-}
-
-// --- Multi-run frames (the iovec-style zero-copy encoding) -------------
-//
-// A §3.3-contiguous send fits the TOX2 frame above: one run, one
-// memcpy. But fragmented sends — the naive layout, the parity
-// obstruction in n >= 3 dimensions, any workload whose buffer order
-// diverges from the schedule — used to be staged through a
-// rearrangement copy (stable_partition) before they could be framed.
-// The TOX3 frame removes that staging: the sender appends N gathered
-// {ptr, len} runs straight out of its buffer (one memcpy per run,
+// Every wire path ships one message per node per step as a sealed
+// multi-run frame. The sender appends its send set's maximal
+// contiguous runs straight out of its buffer (one memcpy per run,
 // source order untouched, so a refused frame retransmits from intact
-// parcels), and a run table of {dst_offset, count} descriptors lets
-// the receiver hole-splice scatter each run into its destination slot
-// without a rearrangement pass of its own.
+// parcels); under the §3.3 layout in 2D that is a single run, so the
+// message costs one memcpy. A run table of {dst_offset, count}
+// descriptors lets the receiver hole-splice scatter each run into its
+// destination slot without a rearrangement pass of its own, and
+// verification reads the frame in place through a non-owning view.
+// Both CRCs (header, frame) must match and the byte count must be
+// exact, so any bit flip or truncation anywhere in the frame is
+// detected.
 //
 // Frame layout (little-endian):
 //   [ 0) magic u32  "TOX3"
@@ -593,6 +253,15 @@ namespace detail {
 inline constexpr std::uint32_t kFrameV3Magic = 0x544F5833u;  // "TOX3"
 inline constexpr std::size_t kFrameV3HeaderBytes = 52;
 inline constexpr std::size_t kRunDescriptorBytes = 16;
+inline constexpr std::size_t kFrameTrailerBytes = 4;
+
+/// Exact byte size of a TOX3 frame carrying `count` parcels in
+/// `run_count` runs.
+template <typename T>
+constexpr std::size_t multi_run_frame_bytes(std::size_t run_count, std::size_t count) {
+  return kFrameV3HeaderBytes + run_count * kRunDescriptorBytes + count * sizeof(Parcel<T>) +
+         kFrameTrailerBytes;
+}
 
 /// One send run: parcels [first, last) of a node's buffer.
 struct RunSpan {
@@ -635,6 +304,37 @@ void erase_runs(std::vector<Parcel<T>>& buf, const std::vector<RunSpan>& runs) {
   buf.resize(write);
 }
 
+/// Appends one contiguous run of parcels to a frame under construction
+/// (a single memcpy of the run's object representation). Returns the
+/// run's size in bytes.
+template <typename T>
+std::size_t frame_append_run(std::vector<std::byte>& frame, const Parcel<T>* run,
+                             std::size_t count) {
+  static_assert(std::is_trivially_copyable_v<Parcel<T>>,
+                "framed exchange requires trivially copyable parcels");
+  const std::size_t bytes = count * sizeof(Parcel<T>);
+  if (bytes == 0) return 0;
+  const std::size_t at = frame.size();
+  frame.resize(at + bytes);
+  std::memcpy(frame.data() + at, run, bytes);
+  return bytes;
+}
+
+/// Adds a wire-stats delta to the recorder's metric counters.
+inline void publish_wire_metrics(Recorder* obs, const WirePoolStats& d) {
+  if (obs == nullptr) return;
+  MetricsRegistry& m = obs->metrics();
+  m.counter("wire.messages").add(d.messages);
+  m.counter("wire.parcels").add(d.parcels);
+  m.counter("wire.pool_hits").add(d.pool_hits);
+  m.counter("wire.pool_misses").add(d.pool_misses);
+  m.counter("wire.bytes_encoded").add(d.bytes_encoded);
+  m.counter("wire.bytes_copied").add(d.bytes_copied);
+  m.counter("wire.contiguous_sends").add(d.contiguous_sends);
+  m.counter("wire.gathered_parcels").add(d.gathered_parcels);
+  m.counter("wire.runs_encoded").add(d.runs_encoded);
+}
+
 }  // namespace detail
 
 /// Encodes one message as a TOX3 multi-run frame, gathering the given
@@ -650,12 +350,9 @@ void encode_multi_run_frame(const std::vector<Parcel<T>>& buf,
                 "framed exchange requires trivially copyable parcels");
   TOREX_REQUIRE(phase >= 0 && step >= 0 && src >= 0 && dst >= 0,
                 "sealed message metadata must be non-negative");
-  const std::size_t table_bytes = runs.size() * detail::kRunDescriptorBytes;
-  const std::size_t run_bytes = count * sizeof(Parcel<T>);
   frame.clear();
-  frame.reserve(detail::kFrameV3HeaderBytes + table_bytes + run_bytes +
-                detail::kFrameTrailerBytes);
-  frame.resize(detail::kFrameV3HeaderBytes + table_bytes);
+  frame.reserve(detail::multi_run_frame_bytes<T>(runs.size(), count));
+  frame.resize(detail::kFrameV3HeaderBytes + runs.size() * detail::kRunDescriptorBytes);
   std::byte* h = frame.data();
   wire_write_u32(h + 0, detail::kFrameV3Magic);
   wire_write_u32(h + 4, static_cast<std::uint32_t>(phase));
@@ -678,8 +375,10 @@ void encode_multi_run_frame(const std::vector<Parcel<T>>& buf,
   for (const detail::RunSpan& r : runs) {
     detail::frame_append_run(frame, buf.data() + r.first, r.last - r.first);
   }
-  // One streaming pass: header digest sampled mid-stream, then hashed
-  // itself as part of the frame digest (same scheme as TOX2).
+  // One streaming pass over the whole frame: the header digest is
+  // sampled mid-stream (value() does not consume the accumulator),
+  // patched into [48, 52), and those bytes then feed the same
+  // accumulator so the trailing digest covers them too.
   Crc32 crc;
   crc.update(frame.data(), 48);
   wire_write_u32(frame.data() + 48, crc.value());
@@ -778,11 +477,15 @@ class SealedRunFrameView {
   std::size_t count_ = 0;
 };
 
-/// Verifies a TOX3 multi-run frame in place. Detects every corruption
-/// class decode_sealed_frame does, plus the run-table classes: a table
-/// longer than the frame, zero-length runs, overlapping or
-/// out-of-order descriptors, descriptors pointing outside the scatter
-/// region, and a table that does not account for every parcel.
+/// Verifies a TOX3 multi-run frame in place. On success `out` views the
+/// run table and parcel runs inside `wire` (which must outlive the
+/// view); on failure returns false with `reason` filled when non-null.
+/// Detects truncation, bit flips anywhere, wrong (phase, step) or
+/// channel, forged counts, identities out of range, and the run-table
+/// classes: a table longer than the frame, zero-length runs,
+/// overlapping or out-of-order descriptors, descriptors pointing
+/// outside the scatter region, and a table that does not account for
+/// every parcel.
 template <typename T>
 bool decode_multi_run_frame(WireView wire, int phase, int step, Rank src, Rank dst,
                             Rank num_nodes, SealedRunFrameView<T>& out,
@@ -926,63 +629,87 @@ void scatter_parcels_strided(Rank N, const ParcelBuffers<T>& delivered,
   }
 }
 
-/// exchange_payloads with end-to-end integrity: every message crosses
-/// the (simulated) wire sealed, may be tampered with by `tamperer`, and
-/// is verified at integrate time. A rejected delivery is retransmitted
-/// up to options.max_retransmits times — each retransmission costs one
-/// fault tick, so transient corruption windows heal under retry — and
-/// an exhausted budget raises IntegrityError carrying the report.
-/// `report_out`, when non-null, receives the report even on throw.
-template <typename T>
-ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers<T> buffers,
-                                          const ParcelTamperer& tamperer = {},
-                                          const IntegrityOptions& options = {},
-                                          IntegrityReport* report_out = nullptr,
-                                          Recorder* obs = nullptr) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "sealed exchange requires trivially copyable payloads");
-  const Rank N = algo.shape().num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers);
-  TOREX_REQUIRE(options.max_retransmits >= 0, "retransmit budget must be non-negative");
-  if (obs != nullptr && !obs->enabled()) obs = nullptr;
-  SpanGuard exchange_span(obs, "exchange_sealed");
-  const auto flush_metrics = [&](const IntegrityReport& r) {
-    if (obs == nullptr) return;
-    MetricsRegistry& m = obs->metrics();
-    m.counter("integrity.messages").add(r.messages);
-    m.counter("integrity.parcels").add(r.parcels);
-    m.counter("integrity.retransmits").add(r.retransmits);
-    m.counter("integrity.corrupted").add(r.corrupted);
-  };
+// --- The framed step kernel --------------------------------------------
+//
+// exchange_payloads_sealed and exchange_payloads_pooled run the same
+// phase→step loop over the TOX3 wire; they differ only in what happens
+// at a phase boundary (the pooled executor re-sorts into the §3.3
+// layout) and in whether a tamperer sits on the wire. Per step, every
+// node scans its send set without reordering, gathers it into a leased
+// frame, lets the tamperer at it, and verifies it; a refused frame is
+// re-encoded from the intact source parcels up to the retransmit
+// budget, after which IntegrityError carries the report out. A
+// verified frame stays leased until the integrate half, which
+// hole-splices its runs into the room the receiver's own send left.
 
+namespace detail {
+
+/// Leases an exact-size frame from `arena` into `frame`, encodes the
+/// runs of `buf` into it as a TOX3 frame, and books the send (message,
+/// runs, frame bytes, gathered payload bytes) in the arena's stats.
+template <typename T>
+void encode_send_frame(WireArena& arena, PooledFrame& frame, const std::vector<Parcel<T>>& buf,
+                       const std::vector<RunSpan>& runs, std::size_t count, int phase, int step,
+                       Rank src, Rank dst) {
+  frame.bind(arena, multi_run_frame_bytes<T>(runs.size(), count));
+  encode_multi_run_frame(buf, runs, count, phase, step, src, dst, frame.bytes());
+  WirePoolStats& stats = arena.stats();
+  stats.note_message(static_cast<std::int64_t>(count), static_cast<std::int64_t>(runs.size()));
+  stats.bytes_encoded += static_cast<std::int64_t>(frame.bytes().size());
+  stats.bytes_copied += static_cast<std::int64_t>(count * sizeof(Parcel<T>));
+}
+
+/// Hole-splices a verified frame's runs into `buf` at position `at`
+/// (one grow, one tail shift, one memcpy per run) and books the copy in
+/// the arena's stats. Grows with resize, not insert(pos, n, value):
+/// libstdc++ fills the latter element by element, several times slower
+/// for short runs.
+template <typename T>
+void splice_frame(WireArena& arena, const SealedRunFrameView<T>& view,
+                  std::vector<Parcel<T>>& buf, std::size_t at) {
+  const std::size_t old_size = buf.size();
+  buf.resize(old_size + view.count());
+  std::move_backward(buf.begin() + static_cast<std::ptrdiff_t>(at),
+                     buf.begin() + static_cast<std::ptrdiff_t>(old_size), buf.end());
+  view.scatter(buf.data() + at);
+  arena.stats().bytes_copied += static_cast<std::int64_t>(view.payload_size());
+}
+
+/// The wire's retransmit protocol state: the tamper hook (null for a
+/// clean wire), the retransmit budget, the fault-tick clock, and the
+/// report the kernel fills.
+struct FrameSeal {
+  const ParcelTamperer* tamperer = nullptr;
+  int max_retransmits = 0;
+  std::int64_t tick = 0;
   IntegrityReport report;
-  std::int64_t tick = options.base_tick;
-  WireArena local_arena;
-  WireArena& arena = options.arena != nullptr ? *options.arena : local_arena;
-  const WirePoolStats stats_before = arena.stats();
-  const bool pooled = options.wire_path == WirePath::kPooled;
-  const auto publish_wire = [&] {
-    detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
-  };
-  ParcelBuffers<T> inbox(static_cast<std::size_t>(N));  // per-parcel path
-  std::vector<Parcel<T>> received;                      // per-parcel path scratch
-  // Pooled path: the send set is gathered run-by-run into a TOX3
-  // frame without reordering the buffer (a refused frame re-encodes
-  // from intact source parcels), the verified frame stays leased until
-  // the integrate half, and the receiver hole-splices its runs where
-  // its own send left room — no rearrangement copy in either
-  // direction.
+};
+
+/// Runs every phase and step of `algo` over `buffers` on the TOX3 wire.
+/// `before_phase(phase)` runs inside each phase span before its first
+/// step. Throws IntegrityError (with the report) once a message
+/// exhausts `seal.max_retransmits`.
+template <typename T, typename BeforePhase>
+void run_framed_exchange(const SuhShinAape& algo, ParcelBuffers<T>& buffers, WireArena& arena,
+                         FrameSeal& seal, Recorder* obs, BeforePhase&& before_phase) {
+  const Rank N = algo.shape().num_nodes();
+  IntegrityReport& report = seal.report;
+  // In-flight frames: one slot per destination, leased for the span of
+  // a step. The splice position is per *receiver* — the hole its own
+  // send left — so it lives in a separate per-node array, not in the
+  // frame slot (which is indexed by destination but filled by the
+  // sender).
   struct Pending {
     PooledFrame frame;
     SealedRunFrameView<T> view;
-    Rank src = -1;
     bool active = false;
   };
   std::vector<Pending> pending(static_cast<std::size_t>(N));
-  std::vector<detail::RunSpan> runs;  // pooled path scratch, reused per node
   std::vector<std::size_t> hole(static_cast<std::size_t>(N), 0);
+  std::vector<RunSpan> runs;  // send-set scan scratch, reused per node
   for (int phase = 1; phase <= algo.num_phases(); ++phase) {
     SpanGuard phase_span(obs, "phase", -1, phase);
+    before_phase(phase);
     const int hops = algo.hops_per_step(phase);
     for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
       SpanGuard step_span(obs, "step", -1, phase, step);
@@ -992,31 +719,16 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers
       for (Rank p = 0; p < N; ++p) {
         auto& buf = buffers[static_cast<std::size_t>(p)];
         hole[static_cast<std::size_t>(p)] = buf.size();
-        // The pooled path gathers the send set straight out of the
-        // (unreordered) buffer; the per-parcel path materializes the
-        // outgoing message via the partition as before.
-        std::vector<Parcel<T>> outgoing;
-        std::size_t send_count = 0;
-        if (pooled) {
-          send_count = detail::collect_send_runs(
-              buf,
-              [&](const Parcel<T>& x) { return algo.should_send(p, phase, step, x.block); },
-              runs);
-        } else {
-          auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Parcel<T>& x) {
-            return !algo.should_send(p, phase, step, x.block);
-          });
-          send_count = static_cast<std::size_t>(buf.end() - split);
-          if (send_count > 0) {
-            outgoing.assign(std::make_move_iterator(split), std::make_move_iterator(buf.end()));
-            buf.erase(split, buf.end());
-          }
-        }
-        if (send_count == 0) continue;
-        const std::size_t run_bytes = send_count * sizeof(Parcel<T>);
+        const std::size_t count = collect_send_runs(
+            buf, [&](const Parcel<T>& x) { return algo.should_send(p, phase, step, x.block); },
+            runs);
+        if (count == 0) continue;
         const Rank q = algo.partner(p, phase, step);
         const Direction dir = algo.direction(p, phase, step);
+        Pending& out = pending[static_cast<std::size_t>(q)];
+        TOREX_CHECK(!out.active, "one-port receive violation in framed exchange");
         for (int attempt = 0;; ++attempt) {
+          encode_send_frame(arena, out.frame, buf, runs, count, phase, step, p, q);
           TransferContext ctx;
           ctx.phase = phase;
           ctx.step = step;
@@ -1024,58 +736,22 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers
           ctx.dst = q;
           ctx.direction = dir;
           ctx.hops = hops;
-          ctx.tick = tick + attempt;
+          ctx.tick = seal.tick + attempt;
           ctx.attempt = attempt;
-          std::string reason;
-          bool delivered = false;
-          std::int64_t delivered_parcels = 0;
-          if (pooled) {
-            Pending& out = pending[static_cast<std::size_t>(q)];
-            TOREX_CHECK(!out.active, "one-port receive violation in sealed exchange");
-            out.frame.bind(arena, detail::kFrameV3HeaderBytes +
-                                      runs.size() * detail::kRunDescriptorBytes + run_bytes +
-                                      detail::kFrameTrailerBytes);
-            encode_multi_run_frame(buf, runs, send_count, phase, step, p, q, out.frame.bytes());
-            arena.stats().note_message(static_cast<std::int64_t>(send_count),
-                                       static_cast<std::int64_t>(runs.size()));
-            arena.stats().bytes_encoded += static_cast<std::int64_t>(out.frame.bytes().size());
-            arena.stats().bytes_copied += static_cast<std::int64_t>(run_bytes);
-            if (tamperer) tamperer(ctx, out.frame.bytes());
-            if (decode_multi_run_frame<T>(out.frame.view(), phase, step, p, q, N, out.view,
-                                          &reason)) {
-              out.src = p;
-              out.active = true;
-              delivered = true;
-              delivered_parcels = static_cast<std::int64_t>(send_count);
-            }
-          } else {
-            auto wire = encode_sealed_message(outgoing, phase, step, p, q);
-            arena.stats().note_message(static_cast<std::int64_t>(outgoing.size()), 1);
-            arena.stats().bytes_encoded += static_cast<std::int64_t>(wire.size());
-            // Encode copies each payload; decode materializes every
-            // parcel; the inbox insert copies them again.
-            arena.stats().bytes_copied += static_cast<std::int64_t>(outgoing.size() * sizeof(T));
-            if (tamperer) tamperer(ctx, wire);
-            if (decode_sealed_message<T>(wire, phase, step, p, q, N, received, &reason)) {
-              auto& in = inbox[static_cast<std::size_t>(q)];
-              in.insert(in.end(), std::make_move_iterator(received.begin()),
-                        std::make_move_iterator(received.end()));
-              arena.stats().bytes_copied +=
-                  static_cast<std::int64_t>(2 * received.size() * sizeof(Parcel<T>));
-              delivered = true;
-              delivered_parcels = static_cast<std::int64_t>(received.size());
-            }
+          if (seal.tamperer != nullptr && *seal.tamperer) {
+            (*seal.tamperer)(ctx, out.frame.bytes());
           }
-          if (delivered) {
-            if (pooled) {
-              // The frame holds its own copy of the runs, so the
-              // source compacts now; the receiver will splice into
-              // the room this node's own send just vacated.
-              hole[static_cast<std::size_t>(p)] = runs.front().first;
-              detail::erase_runs(buf, runs);
-            }
+          std::string reason;
+          if (decode_multi_run_frame<T>(out.frame.view(), phase, step, p, q, N, out.view,
+                                        &reason)) {
+            // The frame holds its own copy of the runs, so the source
+            // compacts now; the receiver will splice into the room
+            // this node's own send just vacated.
+            out.active = true;
+            hole[static_cast<std::size_t>(p)] = runs.front().first;
+            erase_runs(buf, runs);
             ++report.messages;
-            report.parcels += delivered_parcels;
+            report.parcels += static_cast<std::int64_t>(count);
             report.retransmits += attempt;
             if (obs != nullptr && attempt > 0) {
               obs->instant("retransmit_ok", q, phase, step, attempt);
@@ -1098,50 +774,90 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers
           if (report.violations.size() < IntegrityReport::kMaxRecordedViolations) {
             report.violations.push_back(violation);
           }
-          if (attempt == options.max_retransmits) {
+          if (attempt == seal.max_retransmits) {
             report.retransmits += attempt;
             report.fatal = violation;
             report.final_tick = ctx.tick;
             if (obs != nullptr) obs->instant("integrity_fatal", q, phase, step, attempt);
-            flush_metrics(report);
-            publish_wire();
-            if (report_out != nullptr) *report_out = report;
             throw IntegrityError("integrity failure: " + violation.describe() +
                                      " (retransmit budget exhausted)",
                                  std::move(report));
           }
         }
       }
-      // Integrate half (pooled): splice each already-verified frame's
-      // runs into the hole the receiver's own send left — one grow
-      // plus one memcpy per run — then return the frame to the arena.
+      // Integrate half: splice each verified frame into the hole the
+      // receiver's own send left (append when it sent nothing), then
+      // return the frame to the arena.
       for (Rank p = 0; p < N; ++p) {
         Pending& in = pending[static_cast<std::size_t>(p)];
         if (!in.active) continue;
         auto& buf = buffers[static_cast<std::size_t>(p)];
         const std::size_t at = std::min(hole[static_cast<std::size_t>(p)], buf.size());
-        buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), in.view.count(), Parcel<T>{});
-        in.view.scatter(buf.data() + at);
-        arena.stats().bytes_copied += static_cast<std::int64_t>(in.view.payload_size());
+        splice_frame(arena, in.view, buf, at);
         in.frame.reset();
         in.active = false;
       }
-      for (Rank p = 0; p < N; ++p) {
-        auto& in = inbox[static_cast<std::size_t>(p)];
-        if (in.empty()) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        buf.insert(buf.end(), std::make_move_iterator(in.begin()),
-                   std::make_move_iterator(in.end()));
-        in.clear();
-      }
-      tick += 1 + extra_ticks;
+      seal.tick += 1 + extra_ticks;
     }
   }
-  report.final_tick = tick;
+  report.final_tick = seal.tick;
+}
+
+}  // namespace detail
+
+/// exchange_payloads with end-to-end integrity: every message crosses
+/// the (simulated) wire as a sealed TOX3 frame, may be tampered with by
+/// `tamperer`, and is verified before integration. A rejected delivery
+/// is retransmitted up to options.max_retransmits times — each
+/// retransmission costs one fault tick, so transient corruption windows
+/// heal under retry — and an exhausted budget raises IntegrityError
+/// carrying the report. `report_out`, when non-null, receives the
+/// report even on throw. Buffers stay in caller (destination) order,
+/// so sends are gathered multi-run frames. Restricted to trivially
+/// copyable payloads because frames carry the parcels' object
+/// representation.
+template <typename T>
+ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers<T> buffers,
+                                          const ParcelTamperer& tamperer = {},
+                                          const IntegrityOptions& options = {},
+                                          IntegrityReport* report_out = nullptr,
+                                          Recorder* obs = nullptr) {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "sealed exchange requires trivially copyable payloads");
+  const Rank N = algo.shape().num_nodes();
+  detail::require_canonical_parcel_seed(N, buffers);
+  TOREX_REQUIRE(options.max_retransmits >= 0, "retransmit budget must be non-negative");
+  if (obs != nullptr && !obs->enabled()) obs = nullptr;
+  SpanGuard exchange_span(obs, "exchange_sealed");
+  WireArena local_arena;
+  WireArena& arena = options.arena != nullptr ? *options.arena : local_arena;
+  const WirePoolStats stats_before = arena.stats();
+  // Publishes the integrity and wire counters and hands the report
+  // out — on success and on throw alike.
+  const auto finish = [&](const IntegrityReport& r) {
+    if (obs != nullptr) {
+      MetricsRegistry& m = obs->metrics();
+      m.counter("integrity.messages").add(r.messages);
+      m.counter("integrity.parcels").add(r.parcels);
+      m.counter("integrity.retransmits").add(r.retransmits);
+      m.counter("integrity.corrupted").add(r.corrupted);
+    }
+    detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
+    if (report_out != nullptr) *report_out = r;
+  };
+
+  detail::FrameSeal seal;
+  seal.tamperer = &tamperer;
+  seal.max_retransmits = options.max_retransmits;
+  seal.tick = options.base_tick;
+  try {
+    detail::run_framed_exchange(algo, buffers, arena, seal, obs, [](int) {});
+  } catch (const IntegrityError& e) {
+    finish(e.report());
+    throw;
+  }
   detail::check_parcel_postcondition(N, buffers);
-  flush_metrics(report);
-  publish_wire();
-  if (report_out != nullptr) *report_out = report;
+  finish(seal.report);
   return buffers;
 }
 
@@ -1184,31 +900,15 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers
   const WirePoolStats stats_before = arena.stats();
   SpanGuard exchange_span(obs, "exchange");
 
-  // In-flight frames: one slot per destination, bound for the span of
-  // a step and released back to the arena at integrate time. The
-  // splice position is per *receiver* — the hole its own send left —
-  // so it lives in a separate per-node array, not in the frame slot
-  // (which is indexed by destination but filled by the sender).
-  struct Pending {
-    PooledFrame frame;
-    Rank src = -1;
-    bool active = false;
-  };
-  std::vector<Pending> inbox(static_cast<std::size_t>(N));
-  std::vector<std::size_t> hole(static_cast<std::size_t>(N), 0);
-  std::vector<detail::RunSpan> runs;  // send-set scan scratch, reused per node
-
   // Decorate-sort-undecorate scratch, reused across nodes and phases:
   // each layout key is computed once per parcel instead of once per
   // comparison, and the scratch reaches steady-state capacity after
   // the first pass — phase boundaries then allocate nothing beyond
   // stable_sort's own temporary.
   std::vector<std::pair<std::uint64_t, Parcel<T>>> keyed;
-
-  for (int phase = 1; phase <= algo.num_phases(); ++phase) {
-    SpanGuard phase_span(obs, "phase", -1, phase);
-    // Phase-boundary rearrangement: one pass, same accounting as the
-    // layout simulator (phase 1's initial order is counted as given).
+  // Phase-boundary rearrangement: one pass, same accounting as the
+  // layout simulator (phase 1's initial order is counted as given).
+  const auto rearrange = [&](int phase) {
     if (phase > 1) {
       ++arena.stats().rearrangement_passes;
       arena.stats().parcels_rearranged += N;
@@ -1241,60 +941,10 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers
         });
       }
     }
+  };
 
-    for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
-      SpanGuard step_span(obs, "step", -1, phase, step);
-      // Send half: scan each node's send set (no reordering), gather
-      // its runs straight into a TOX3 multi-run frame — one memcpy
-      // per run — then compact the buffer in one pass. Under the
-      // paper layout the scan finds a single run, so the frame costs
-      // exactly one memcpy per message.
-      for (Rank p = 0; p < N; ++p) {
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        hole[static_cast<std::size_t>(p)] = buf.size();
-        const std::size_t count = detail::collect_send_runs(
-            buf, [&](const Parcel<T>& x) { return algo.should_send(p, phase, step, x.block); },
-            runs);
-        if (count == 0) continue;
-        const Rank q = algo.partner(p, phase, step);
-        Pending& out = inbox[static_cast<std::size_t>(q)];
-        TOREX_CHECK(!out.active, "one-port receive violation in pooled exchange");
-        out.frame.bind(arena, detail::kFrameV3HeaderBytes +
-                                  runs.size() * detail::kRunDescriptorBytes +
-                                  count * sizeof(Parcel<T>) + detail::kFrameTrailerBytes);
-        encode_multi_run_frame(buf, runs, count, phase, step, p, q, out.frame.bytes());
-        arena.stats().note_message(static_cast<std::int64_t>(count),
-                                   static_cast<std::int64_t>(runs.size()));
-        arena.stats().bytes_encoded += static_cast<std::int64_t>(out.frame.bytes().size());
-        arena.stats().bytes_copied += static_cast<std::int64_t>(count * sizeof(Parcel<T>));
-        hole[static_cast<std::size_t>(p)] = runs.front().first;
-        detail::erase_runs(buf, runs);
-        out.src = p;
-        out.active = true;
-      }
-      // Integrate half: verify each frame in place and hole-splice
-      // scatter its runs into the room the node's own send left
-      // (append when the node sent nothing), then return the frame to
-      // the arena.
-      for (Rank p = 0; p < N; ++p) {
-        Pending& in = inbox[static_cast<std::size_t>(p)];
-        if (!in.active) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        SealedRunFrameView<T> view;
-        std::string why;
-        TOREX_CHECK(
-            decode_multi_run_frame<T>(in.frame.view(), phase, step, in.src, p, N, view, &why),
-            "pooled wire frame failed verification: " + why);
-        const std::size_t at = std::min(hole[static_cast<std::size_t>(p)], buf.size());
-        buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), view.count(), Parcel<T>{});
-        view.scatter(buf.data() + at);
-        arena.stats().bytes_copied += static_cast<std::int64_t>(view.payload_size());
-        in.frame.reset();
-        in.active = false;
-      }
-    }
-  }
-
+  detail::FrameSeal seal;  // the internal wire: no tamperer, no retransmits
+  detail::run_framed_exchange(algo, buffers, arena, seal, obs, rearrange);
   detail::check_parcel_postcondition(N, buffers);
   detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
   return buffers;
@@ -1318,31 +968,7 @@ ParcelBuffers<T> exchange_parcels_custom(const SuhShinAape& algo, ParcelBuffers<
     }
   }
 
-  ParcelBuffers<T> inbox(static_cast<std::size_t>(N));
-  for (int phase = 1; phase <= algo.num_phases(); ++phase) {
-    for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
-      for (Rank p = 0; p < N; ++p) {
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Parcel<T>& x) {
-          return !algo.should_send(p, phase, step, x.block);
-        });
-        if (split == buf.end()) continue;
-        const Rank q = algo.partner(p, phase, step);
-        auto& in = inbox[static_cast<std::size_t>(q)];
-        in.insert(in.end(), std::make_move_iterator(split),
-                  std::make_move_iterator(buf.end()));
-        buf.erase(split, buf.end());
-      }
-      for (Rank p = 0; p < N; ++p) {
-        auto& in = inbox[static_cast<std::size_t>(p)];
-        if (in.empty()) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        buf.insert(buf.end(), std::make_move_iterator(in.begin()),
-                   std::make_move_iterator(in.end()));
-        in.clear();
-      }
-    }
-  }
+  detail::run_move_exchange(algo, buffers, nullptr);
 
   std::int64_t delivered = 0;
   for (Rank p = 0; p < N; ++p) {

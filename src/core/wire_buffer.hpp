@@ -3,10 +3,12 @@
 // Paper §3.3 argues that with the right buffer ordering every step's
 // send set is physically contiguous, so a message can be handed to the
 // router without copying. The payload executors honor that claim by
-// encoding each message into a *frame* — one header plus the raw
-// contiguous parcel run — and by recycling frame storage across steps
+// encoding each message into a sealed TOX3 *frame* (see
+// core/payload_exchange.hpp) — one header, a run table, and the send
+// set's raw parcel runs — and by recycling frame storage across steps
 // and exchanges through a WireArena, so the steady-state hot path
-// performs no heap allocation and exactly one memcpy per direction.
+// performs no heap allocation and one memcpy per run in each
+// direction (a single run per message under the §3.3 layout in 2D).
 //
 // Three pieces:
 //  * WireView — a non-owning (pointer, length) view of wire bytes, so
@@ -86,16 +88,6 @@ inline void wire_write_u64(std::byte* at, std::uint64_t v) {
     at[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
   }
 }
-
-/// Which wire encoding a sealed exchange uses.
-enum class WirePath {
-  /// Batched frames from a WireArena: one header + one contiguous
-  /// parcel run per message, verified and integrated in place.
-  kPooled,
-  /// The original per-parcel encoding: every parcel carries its own
-  /// sealed record and every message allocates a fresh buffer.
-  kPerParcel,
-};
 
 /// Pool and traffic statistics of a WireArena. Pool counters describe
 /// buffer recycling; traffic counters describe what crossed the wire;

@@ -353,7 +353,8 @@ class TorusCommunicator {
 
   /// Self-checking all-to-all: alltoall_resilient plus end-to-end data
   /// integrity. When the Suh-Shin schedule runs, every message crosses
-  /// the simulated wire sealed (per-parcel CRC-32 + metadata), may be
+  /// the simulated wire as a sealed TOX3 frame (header and frame
+  /// CRC-32 over the step/channel metadata and the parcel runs), may be
   /// damaged by `corruption`, and is verified before integration;
   /// detected corruption is repaired by bounded retransmission
   /// (kCorrected). A message that stays corrupt past its budget

@@ -232,11 +232,13 @@ struct JournalRunOptions {
   /// (JournalFileSink::sync appends incrementally).
   std::function<void(const ExchangeJournal&)> flush;
   Recorder* obs = nullptr;
-  /// Optional frame pool: when set (and the payload is trivially
-  /// copyable) live sends cross the wire as pooled sealed frames —
-  /// encoded with one memcpy, verified, and integrated in place —
-  /// instead of per-parcel struct moves. Replayed steps stay local
-  /// and never touch the wire either way.
+  /// Optional external frame pool. Live sends of trivially copyable
+  /// payloads always cross the wire as sealed TOX3 frames (gathered
+  /// run by run, verified, and integrated in place); when null the run
+  /// uses a private arena. Supplying one lets frames and the arena's
+  /// statistics survive across exchanges. Other payload types move
+  /// parcel structs, and replayed steps stay local and never touch the
+  /// wire either way.
   WireArena* wire = nullptr;
 };
 
@@ -301,8 +303,10 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuff
   report.committed_steps_at_start = journal.committed_steps();
   report.committed_phase_at_start = journal.committed_phase();
   report.delivered_at_start = journal.delivered_parcels();
-  const WirePoolStats wire_stats_before =
-      options.wire != nullptr ? options.wire->stats() : WirePoolStats{};
+  constexpr bool framed = std::is_trivially_copyable_v<Parcel<T>>;
+  WireArena local_arena;
+  WireArena& arena = options.wire != nullptr ? *options.wire : local_arena;
+  const WirePoolStats wire_stats_before = arena.stats();
 
   if (journal.exchange_complete()) {
     return detail::rebuild_complete(N, std::move(buffers), report);
@@ -341,68 +345,41 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuff
       const bool replay = flat_step < report.committed_steps_at_start;
       SpanGuard step_span(obs, replay ? "journal_replay_step" : "journal_step", -1, phase, step);
 
+      // A materialized duplicate already sitting on its destination
+      // never matches should_send (the predicates compare node vs
+      // dest coordinates), so only genuine in-flight parcels move.
       arrivals.clear();
       for (Rank p = 0; p < N; ++p) {
         auto& buf = buffers[static_cast<std::size_t>(p)];
-        const Rank q = algo.partner(p, phase, step);
-        bool framed = false;
-        if constexpr (std::is_trivially_copyable_v<Parcel<T>>) {
-          if (!replay && options.wire != nullptr) {
-            // Live send over the pooled wire: the send set is gathered
-            // run-by-run straight out of the (unreordered) buffer into
-            // a TOX3 multi-run frame, CRC-verified, and scattered into
-            // the inbox in place — no partition pass, no staging copy.
-            // The internal wire is never tampered with, so a failed
+        if constexpr (framed) {
+          if (!replay) {
+            // Live send: the send set is gathered run-by-run straight
+            // out of the (unreordered) buffer into a TOX3 frame,
+            // CRC-verified, and scattered onto the inbox in place. The
+            // internal wire is never tampered with, so a failed
             // verification is a logic error, not a retransmit case.
-            // (A materialized duplicate already sitting on its
-            // destination never matches should_send, so only genuine
-            // in-flight parcels move.)
-            WireArena& arena = *options.wire;
-            const std::size_t send_count = detail::collect_send_runs(
+            const std::size_t count = detail::collect_send_runs(
                 buf,
                 [&](const Parcel<T>& x) { return algo.should_send(p, phase, step, x.block); },
                 wire_runs);
-            if (send_count == 0) continue;
-            report.sent_parcels += static_cast<std::int64_t>(send_count);
-            const std::size_t run_bytes = send_count * sizeof(Parcel<T>);
-            frame.bind(arena, detail::kFrameV3HeaderBytes +
-                                  wire_runs.size() * detail::kRunDescriptorBytes + run_bytes +
-                                  detail::kFrameTrailerBytes);
-            encode_multi_run_frame(buf, wire_runs, send_count, phase, step, p, q,
-                                   frame.bytes());
-            arena.stats().note_message(static_cast<std::int64_t>(send_count),
-                                       static_cast<std::int64_t>(wire_runs.size()));
-            arena.stats().bytes_encoded += static_cast<std::int64_t>(frame.bytes().size());
-            arena.stats().bytes_copied += static_cast<std::int64_t>(run_bytes);
+            if (count == 0) continue;
+            report.sent_parcels += static_cast<std::int64_t>(count);
+            const Rank q = algo.partner(p, phase, step);
+            detail::encode_send_frame(arena, frame, buf, wire_runs, count, phase, step, p, q);
             SealedRunFrameView<T> view;
             std::string why;
             TOREX_CHECK(
                 decode_multi_run_frame<T>(frame.view(), phase, step, p, q, N, view, &why),
                 "journaled wire frame failed verification: " + why);
-            view.append_to(inbox[static_cast<std::size_t>(q)]);
-            arena.stats().bytes_copied += static_cast<std::int64_t>(view.payload_size());
+            auto& in = inbox[static_cast<std::size_t>(q)];
+            detail::splice_frame(arena, view, in, in.size());
             detail::erase_runs(buf, wire_runs);
-            framed = true;
+            continue;
           }
         }
-        if (framed) continue;
-        // A materialized duplicate already sitting on its destination
-        // never matches should_send (the predicates compare node vs
-        // dest coordinates), so only genuine in-flight parcels move.
-        auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Parcel<T>& x) {
-          return !algo.should_send(p, phase, step, x.block);
-        });
-        if (split == buf.end()) continue;
-        const auto moved = static_cast<std::int64_t>(std::distance(split, buf.end()));
-        if (replay) {
-          report.replayed_parcels += moved;
-        } else {
-          report.sent_parcels += moved;
-        }
-        auto& in = inbox[static_cast<std::size_t>(q)];
-        in.insert(in.end(), std::make_move_iterator(split),
-                  std::make_move_iterator(buf.end()));
-        buf.erase(split, buf.end());
+        const auto moved =
+            static_cast<std::int64_t>(detail::move_send_set(algo, p, phase, step, buf, inbox));
+        (replay ? report.replayed_parcels : report.sent_parcels) += moved;
       }
       for (Rank p = 0; p < N; ++p) {
         auto& in = inbox[static_cast<std::size_t>(p)];
@@ -477,9 +454,8 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuff
     obs->metrics().counter("resume.sent_parcels").add(report.sent_parcels);
     obs->metrics().counter("resume.replayed_parcels").add(report.replayed_parcels);
     obs->metrics().counter("resume.duplicates_dropped").add(report.duplicates_dropped);
-    if (options.wire != nullptr) {
-      detail::publish_wire_metrics(
-          obs, wire_stats_delta(options.wire->stats(), wire_stats_before));
+    if constexpr (framed) {
+      detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), wire_stats_before));
     }
   }
   return buffers;

@@ -18,7 +18,6 @@ struct PendingFrame {
   PooledFrame frame;
   Rank src = -1;
   Rank dst = -1;
-  std::int64_t count = 0;
 };
 
 }  // namespace
@@ -182,22 +181,14 @@ PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
           [&](const Parcel<Word>& x) { return algo_->should_send(p, phase, step, x.block); },
           runs);
       if (send_count == 0) continue;
-      const auto moved = static_cast<std::int64_t>(send_count);
       if (frame_quota_ > 0 && static_cast<std::int64_t>(pending.size()) >= frame_quota_) {
         flight_note("svc.quota_breach", health, phase, step,
                     static_cast<std::int64_t>(pending.size()) + 1);
         throw SessionQuotaError(id_, static_cast<std::int64_t>(pending.size()), frame_quota_);
       }
       const Rank q = algo_->partner(p, phase, step);
-      const std::size_t run_bytes = send_count * sizeof(Parcel<Word>);
       PendingFrame out;
-      out.frame.bind(*arena_, detail::kFrameV3HeaderBytes +
-                                  runs.size() * detail::kRunDescriptorBytes + run_bytes +
-                                  detail::kFrameTrailerBytes);
-      encode_multi_run_frame(buf, runs, send_count, phase, step, p, q, out.frame.bytes());
-      arena_->stats().note_message(moved, static_cast<std::int64_t>(runs.size()));
-      arena_->stats().bytes_encoded += static_cast<std::int64_t>(out.frame.bytes().size());
-      arena_->stats().bytes_copied += static_cast<std::int64_t>(run_bytes);
+      detail::encode_send_frame(*arena_, out.frame, buf, runs, send_count, phase, step, p, q);
       if (inject.corrupt_phase == phase && !corrupted_this_phase) {
         // One flipped run-table bit: the frame CRC refuses it below.
         out.frame.bytes()[detail::kFrameV3HeaderBytes] ^= std::byte{0x01};
@@ -205,9 +196,8 @@ PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
       }
       out.src = p;
       out.dst = q;
-      out.count = moved;
       pending.push_back(std::move(out));
-      sent_parcels_ += moved;
+      sent_parcels_ += static_cast<std::int64_t>(send_count);
       detail::erase_runs(buf, runs);
     }
     peak_leased_ = std::max(peak_leased_, static_cast<std::int64_t>(pending.size()));
@@ -223,8 +213,8 @@ PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
         flight_note("svc.integrity_refused", health, phase, step, in.src);
         throw SessionIntegrityError(id_, phase, step, why);
       }
-      view.append_to(inbox_[static_cast<std::size_t>(in.dst)]);
-      arena_->stats().bytes_copied += static_cast<std::int64_t>(view.payload_size());
+      auto& inbox = inbox_[static_cast<std::size_t>(in.dst)];
+      detail::splice_frame(*arena_, view, inbox, inbox.size());
     }
     pending.clear();  // return the step's frames to the arena
     for (Rank p = 0; p < N; ++p) {

@@ -1,7 +1,7 @@
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) for parcel sealing.
+// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) for frame sealing.
 //
-// The integrity layer checksums every parcel and frame that crosses a
-// simulated channel, so the implementation must be deterministic across
+// The integrity layer checksums every frame that crosses a simulated
+// channel, so the implementation must be deterministic across
 // platforms, incremental (a sealed frame hashes a header and payload
 // runs that live in separate slabs), and fast enough that the seal is
 // not the wire path's bottleneck. Three tiers, all producing identical
@@ -9,7 +9,7 @@
 //
 //  * bytewise  — the classic one-table-lookup-per-byte loop; the
 //    reference implementation, and the inline fast path for short
-//    updates (per-parcel metadata fields);
+//    updates (individual metadata fields);
 //  * slicing-by-8 — eight 256-entry tables consume 8 bytes per
 //    iteration with independent lookups, ~5-8x the bytewise
 //    throughput; the portable default for slab-sized updates;

@@ -140,8 +140,9 @@ TEST(Crc32Test, IncrementalManyChunksWithZeroLengthSlices) {
 }
 
 TEST(Crc32Test, ValueSamplesMidStreamWithoutConsuming) {
-  // frame_finish() reads the header digest mid-stream and keeps
-  // hashing; value() must not perturb the accumulator.
+  // encode_multi_run_frame() and decode_multi_run_frame() read the
+  // header digest mid-stream and keep hashing; value() must not
+  // perturb the accumulator.
   const std::vector<unsigned char> data = pattern_bytes(96, 0xD16E57u);
   Crc32 crc;
   crc.update(data.data(), 48);

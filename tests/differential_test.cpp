@@ -1,18 +1,24 @@
-// Cross-executor differential tests: the four independent executors
-// (sequential engine, layout engine, parallel engine, parcel runner)
-// replay the same schedule oracle; on random workloads and shapes their
-// observable results must agree. A bug in any one of them — or in the
-// oracle — shows up as a divergence here even if each executor's own
-// checks pass.
+// Cross-executor differential tests: the independent executors
+// (sequential engine, layout engine, parallel engine, and every payload
+// entry point — plain, pooled, sealed, journaled, and the per-phase
+// session stepper) replay the same schedule oracle; on random workloads
+// and shapes their observable results must agree. A bug in any one of
+// them — or in the oracle — shows up as a divergence here even if each
+// executor's own checks pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "core/data_array.hpp"
 #include "core/exchange_engine.hpp"
 #include "core/payload_exchange.hpp"
+#include "obs/recorder.hpp"
+#include "runtime/journal.hpp"
 #include "runtime/parallel_engine.hpp"
+#include "svc/session_exchange.hpp"
 #include "util/prng.hpp"
 
 namespace torex {
@@ -96,6 +102,185 @@ TEST_P(DifferentialTest, ParallelEngineAgreesOnRandomThreadCounts) {
     EXPECT_EQ(seq.steps[i].total_blocks, par.steps[i].total_blocks);
     EXPECT_EQ(seq.steps[i].max_blocks_per_node, par.steps[i].max_blocks_per_node);
   }
+}
+
+// --- Payload entry points against the block-level oracle ---------------
+
+/// The block-level ExchangeEngine's delivered blocks for the canonical
+/// workload, each node's list sorted.
+std::vector<std::vector<Block>> oracle_blocks(const SuhShinAape& algo) {
+  ExchangeEngine engine(algo);
+  engine.run_verified();
+  std::vector<std::vector<Block>> blocks = engine.buffers();
+  for (auto& node : blocks) std::sort(node.begin(), node.end());
+  return blocks;
+}
+
+/// The canonical workload: parcel (origin -> dest) carries
+/// origin * N + dest, so every delivered payload names its block.
+std::int64_t payload_of(Rank N, Rank origin, Rank dest) {
+  return static_cast<std::int64_t>(origin) * N + dest;
+}
+
+Block block_of(Rank N, std::int64_t payload) {
+  return Block{static_cast<Rank>(payload / N), static_cast<Rank>(payload % N)};
+}
+
+ParcelBuffers<std::int64_t> canonical_parcels(Rank N) {
+  ParcelBuffers<std::int64_t> buffers(static_cast<std::size_t>(N));
+  for (Rank p = 0; p < N; ++p) {
+    for (Rank q = 0; q < N; ++q) {
+      buffers[static_cast<std::size_t>(p)].push_back({Block{p, q}, payload_of(N, p, q)});
+    }
+  }
+  return buffers;
+}
+
+/// Asserts that delivered parcels form the oracle's per-node sorted
+/// block multiset, read back from the payloads, and that every
+/// parcel's identity agrees with its payload.
+void expect_matches_oracle(const std::vector<std::vector<Block>>& oracle,
+                           const ParcelBuffers<std::int64_t>& delivered,
+                           const std::string& who) {
+  const Rank N = static_cast<Rank>(oracle.size());
+  ASSERT_EQ(delivered.size(), oracle.size()) << who;
+  for (Rank q = 0; q < N; ++q) {
+    std::vector<Block> blocks;
+    for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
+      const Block b = block_of(N, parcel.payload);
+      EXPECT_EQ(b, parcel.block) << who << " node " << q;
+      blocks.push_back(b);
+    }
+    std::sort(blocks.begin(), blocks.end());
+    EXPECT_EQ(blocks, oracle[static_cast<std::size_t>(q)]) << who << " node " << q;
+  }
+}
+
+TEST_P(DifferentialTest, PlainPayloadsMatchOracle) {
+  const SuhShinAape algo{TorusShape{GetParam().extents}};
+  const Rank N = algo.shape().num_nodes();
+  expect_matches_oracle(oracle_blocks(algo), exchange_payloads(algo, canonical_parcels(N)),
+                        "exchange_payloads");
+}
+
+TEST_P(DifferentialTest, PooledPayloadsMatchOracleOnBothLayouts) {
+  const SuhShinAape algo{TorusShape{GetParam().extents}};
+  const Rank N = algo.shape().num_nodes();
+  const auto oracle = oracle_blocks(algo);
+  for (const LayoutPolicy layout :
+       {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+    WireExchangeOptions options;
+    options.layout = layout;
+    expect_matches_oracle(oracle, exchange_payloads_pooled(algo, canonical_parcels(N), options),
+                          layout == LayoutPolicy::kPaper ? "pooled (paper)" : "pooled (naive)");
+  }
+}
+
+TEST_P(DifferentialTest, SealedPayloadsMatchOracleCleanAndTampered) {
+  const SuhShinAape algo{TorusShape{GetParam().extents}};
+  const Rank N = algo.shape().num_nodes();
+  const auto oracle = oracle_blocks(algo);
+  IntegrityReport clean;
+  expect_matches_oracle(oracle,
+                        exchange_payloads_sealed(algo, canonical_parcels(N), {}, {}, &clean),
+                        "sealed (clean)");
+  EXPECT_TRUE(clean.clean());
+  // One-shot tamperer: the first transmission is damaged, refused, and
+  // retransmitted; delivery must be unchanged.
+  bool fired = false;
+  const ParcelTamperer once = [&](const TransferContext&, std::vector<std::byte>& wire) {
+    if (fired) return false;
+    fired = true;
+    wire[wire.size() / 2] ^= std::byte{0x40};
+    return true;
+  };
+  IntegrityReport tampered;
+  expect_matches_oracle(
+      oracle, exchange_payloads_sealed(algo, canonical_parcels(N), once, {}, &tampered),
+      "sealed (tampered)");
+  EXPECT_EQ(tampered.corrupted, 1);
+  EXPECT_EQ(tampered.retransmits, 1);
+  EXPECT_EQ(tampered.messages, clean.messages);
+  EXPECT_EQ(tampered.final_tick, clean.final_tick + 1);
+}
+
+TEST_P(DifferentialTest, SealedWireStatsIndependentOfExternalArena) {
+  // The private and the caller's arena see the same traffic: the
+  // published wire counters agree, and both equal the fresh external
+  // arena's own stats.
+  const SuhShinAape algo{TorusShape{GetParam().extents}};
+  const Rank N = algo.shape().num_nodes();
+  Recorder private_obs;
+  exchange_payloads_sealed(algo, canonical_parcels(N), {}, {}, nullptr, &private_obs);
+  Recorder external_obs;
+  WireArena arena;
+  IntegrityOptions options;
+  options.arena = &arena;
+  exchange_payloads_sealed(algo, canonical_parcels(N), {}, options, nullptr, &external_obs);
+  const WirePoolStats& s = arena.stats();
+  const std::map<std::string, std::int64_t> expected{
+      {"wire.messages", s.messages},
+      {"wire.parcels", s.parcels},
+      {"wire.pool_hits", s.pool_hits},
+      {"wire.pool_misses", s.pool_misses},
+      {"wire.bytes_encoded", s.bytes_encoded},
+      {"wire.bytes_copied", s.bytes_copied},
+      {"wire.contiguous_sends", s.contiguous_sends},
+      {"wire.gathered_parcels", s.gathered_parcels},
+      {"wire.runs_encoded", s.runs_encoded}};
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(private_obs.metrics().counter(name).value(), value) << name;
+    EXPECT_EQ(external_obs.metrics().counter(name).value(), value) << name;
+  }
+  EXPECT_GT(s.messages, 0);
+  EXPECT_EQ(s.outstanding_frames(), 0);
+}
+
+TEST_P(DifferentialTest, JournaledPayloadsWithPrivateArenaMatchOracle) {
+  const SuhShinAape algo{TorusShape{GetParam().extents}};
+  const Rank N = algo.shape().num_nodes();
+  ExchangeJournal journal;
+  JournalRunOptions options;  // wire == nullptr: the run leases from a private arena
+  Recorder obs;
+  options.obs = &obs;
+  ResumeReport report;
+  expect_matches_oracle(
+      oracle_blocks(algo),
+      exchange_payloads_journaled(algo, canonical_parcels(N), journal, options, report),
+      "journaled");
+  EXPECT_TRUE(journal.exchange_complete());
+  EXPECT_EQ(report.replayed_parcels, 0);
+  EXPECT_EQ(obs.metrics().counter("wire.parcels").value(), report.sent_parcels);
+}
+
+TEST_P(DifferentialTest, SessionExchangePhaseByPhaseMatchesOracle) {
+  const SuhShinAape algo{TorusShape{GetParam().extents}};
+  const Rank N = algo.shape().num_nodes();
+  std::vector<std::vector<std::int64_t>> send(static_cast<std::size_t>(N));
+  for (Rank p = 0; p < N; ++p) {
+    for (Rank q = 0; q < N; ++q) {
+      send[static_cast<std::size_t>(p)].push_back(payload_of(N, p, q));
+    }
+  }
+  WireArena arena;
+  SessionExchange session(1, algo, send, arena, /*max_leased_frames=*/0);
+  while (!session.complete()) {
+    ASSERT_EQ(session.run_phase(nullptr, SessionInjection{}), PhaseOutcome::kComplete);
+  }
+  // take_result() indexes each node's payloads by origin: rebuild the
+  // parcels from (origin, node), so a payload landing in the wrong slot
+  // disagrees with its identity.
+  const auto recv = session.take_result();
+  ParcelBuffers<std::int64_t> delivered(static_cast<std::size_t>(N));
+  for (Rank q = 0; q < N; ++q) {
+    const auto& row = recv[static_cast<std::size_t>(q)];
+    for (Rank origin = 0; origin < static_cast<Rank>(row.size()); ++origin) {
+      delivered[static_cast<std::size_t>(q)].push_back(
+          {Block{origin, q}, row[static_cast<std::size_t>(origin)]});
+    }
+  }
+  expect_matches_oracle(oracle_blocks(algo), delivered, "session");
+  EXPECT_EQ(arena.stats().outstanding_frames(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, DifferentialTest,

@@ -1,21 +1,22 @@
 // The zero-copy pooled wire path: WireArena recycling semantics,
-// PooledFrame RAII, the TOX2 frame codec (round-trip, every-bit-flip
-// and every-truncation detection, forged counts, negative metadata),
-// the TOX3 multi-run codec (run gather/erase primitives, scatter
-// offsets, forged run tables as typed errors), strided user-buffer
+// PooledFrame RAII, the TOX3 frame codec (single- and multi-run
+// round-trips, run gather/erase primitives, scatter offsets,
+// every-bit-flip and every-truncation detection, forged counts and
+// run tables as typed errors, negative metadata), strided user-buffer
 // views, the pooled layout-faithful executor (differential against the
 // plain executor, §3.3 run accounting differential against the
 // block-level layout simulator on both layouts, steady-state
-// allocation behavior), and a seeded deterministic fuzz harness over
-// all three wire formats — mutations must never decode and never read
-// out of bounds (the ASan/UBSan CI job runs this suite under
-// sanitizers).
+// allocation behavior), the sealed executor, and a seeded
+// deterministic fuzz harness over the codec — mutations must never
+// decode and never read out of bounds (the ASan/UBSan CI job runs this
+// suite under sanitizers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/data_array.hpp"
@@ -108,7 +109,7 @@ TEST(PooledFrameTest, DefaultConstructedIsUnboundAndRebindable) {
   EXPECT_EQ(arena.pooled(), 1u);
 }
 
-// --- TOX2 frame codec --------------------------------------------------
+// --- TOX3 frame codec -------------------------------------------------
 
 std::vector<Parcel<std::int64_t>> make_parcels(Rank src, int count) {
   std::vector<Parcel<std::int64_t>> out;
@@ -118,130 +119,6 @@ std::vector<Parcel<std::int64_t>> make_parcels(Rank src, int count) {
   return out;
 }
 
-TEST(SealedFrameTest, RoundTrip) {
-  const auto parcels = make_parcels(3, 5);
-  std::vector<std::byte> frame;
-  encode_sealed_frame(parcels.data(), parcels.size(), 2, 1, 3, 7, frame);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  ASSERT_TRUE(decode_sealed_frame<std::int64_t>(WireView(frame), 2, 1, 3, 7, 16, view, &reason))
-      << reason;
-  ASSERT_EQ(view.count(), parcels.size());
-  for (std::size_t i = 0; i < view.count(); ++i) {
-    const Parcel<std::int64_t> p = view.parcel(i);
-    EXPECT_EQ(p.block.origin, parcels[i].block.origin);
-    EXPECT_EQ(p.block.dest, parcels[i].block.dest);
-    EXPECT_EQ(p.payload, parcels[i].payload);
-  }
-  // append_to: the zero-copy integrate (one grow + one memcpy).
-  std::vector<Parcel<std::int64_t>> out;
-  out.push_back(parcels[0]);
-  view.append_to(out);
-  ASSERT_EQ(out.size(), parcels.size() + 1);
-  EXPECT_EQ(out.back().payload, parcels.back().payload);
-}
-
-TEST(SealedFrameTest, EmptyRunRoundTrips) {
-  std::vector<std::byte> frame;
-  encode_sealed_frame<std::int64_t>(nullptr, 0, 1, 1, 0, 1, frame);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  ASSERT_TRUE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 1, 0, 1, 4, view, &reason))
-      << reason;
-  EXPECT_EQ(view.count(), 0u);
-}
-
-TEST(SealedFrameTest, EveryBitFlipIsDetected) {
-  const auto parcels = make_parcels(2, 3);
-  std::vector<std::byte> clean;
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 2, 5, 6, clean);
-  SealedFrameView<std::int64_t> view;
-  for (std::size_t bit = 0; bit < clean.size() * 8; ++bit) {
-    auto frame = clean;
-    frame[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-    EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 2, 5, 6, 16, view))
-        << "flipped bit " << bit << " slipped through";
-  }
-}
-
-TEST(SealedFrameTest, EveryTruncationIsDetected) {
-  const auto parcels = make_parcels(0, 2);
-  std::vector<std::byte> clean;
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 2, 0, 4, clean);
-  SealedFrameView<std::int64_t> view;
-  for (std::size_t keep = 0; keep < clean.size(); ++keep) {
-    const std::vector<std::byte> frame(clean.begin(),
-                                       clean.begin() + static_cast<std::ptrdiff_t>(keep));
-    EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 2, 0, 4, 16, view))
-        << "truncation to " << keep << " bytes slipped through";
-  }
-}
-
-/// Patches the frame's count field and re-seals the header CRC so the
-/// forged count itself — not the checksum — is what decode must catch.
-std::vector<std::byte> forge_frame_count(std::vector<std::byte> frame, std::uint64_t count) {
-  wire_write_u64(frame.data() + 28, count);
-  wire_write_u32(frame.data() + 44, crc32(frame.data(), 44));
-  return frame;
-}
-
-TEST(SealedFrameTest, ForgedCountIsBoundedBeforeParsing) {
-  const auto parcels = make_parcels(1, 3);
-  std::vector<std::byte> clean;
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 1, 1, 2, clean);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  // A count far beyond the bytes present must be rejected by the bound
-  // check, not by running off the end of the buffer (or reserving an
-  // attacker-chosen allocation).
-  auto forged = forge_frame_count(clean, std::uint64_t{1} << 60);
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(forged), 1, 1, 1, 2, 16, view, &reason));
-  EXPECT_EQ(reason, "parcel count exceeds message size");
-  // A count smaller than the bytes present is a size mismatch.
-  forged = forge_frame_count(clean, 2);
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(forged), 1, 1, 1, 2, 16, view, &reason));
-  EXPECT_EQ(reason, "frame size mismatch");
-}
-
-TEST(SealedFrameTest, NegativeMetadataRejected) {
-  const auto parcels = make_parcels(1, 1);
-  std::vector<std::byte> frame;
-  EXPECT_THROW(encode_sealed_frame(parcels.data(), parcels.size(), -1, 1, 1, 2, frame),
-               std::invalid_argument);
-  EXPECT_THROW(encode_sealed_frame(parcels.data(), parcels.size(), 1, 1, -3, 2, frame),
-               std::invalid_argument);
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 1, 1, 2, frame);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), -1, 1, 1, 2, 16, view, &reason));
-  EXPECT_EQ(reason, "negative message metadata");
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 1, 1, -2, 16, view, &reason));
-  EXPECT_EQ(reason, "negative message metadata");
-}
-
-TEST(SealedFrameTest, RejectsWrongStepAndChannel) {
-  const auto parcels = make_parcels(1, 2);
-  std::vector<std::byte> frame;
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 2, 1, 3, frame);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 2, 2, 1, 3, 16, view, &reason));
-  EXPECT_EQ(reason, "message sealed for a different step");
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 2, 1, 4, 16, view, &reason));
-  EXPECT_EQ(reason, "message sealed for a different channel");
-}
-
-TEST(SealedFrameTest, RejectsIdentityOutOfRange) {
-  const auto parcels = make_parcels(9, 1);  // origin 9 in a 4-node torus
-  std::vector<std::byte> frame;
-  encode_sealed_frame(parcels.data(), parcels.size(), 1, 1, 1, 2, frame);
-  SealedFrameView<std::int64_t> view;
-  std::string reason;
-  EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(frame), 1, 1, 1, 2, 4, view, &reason));
-  EXPECT_EQ(reason, "parcel identity out of range");
-}
-
-// --- TOX3 multi-run frame codec ----------------------------------------
 
 /// A buffer with a known send set: parcels at indices {1,2} and {5,6}
 /// of an 8-parcel buffer (two runs with gaps on both sides).
@@ -280,32 +157,53 @@ TEST(MultiRunFrameTest, EraseRunsCompactsStably) {
 }
 
 TEST(MultiRunFrameTest, MultiRunRoundTrips) {
-  MultiRunFixture fx;
-  std::vector<std::byte> frame;
-  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 2, 1, 3, 7, frame);
-  SealedRunFrameView<std::int64_t> view;
-  std::string reason;
-  ASSERT_TRUE(decode_multi_run_frame<std::int64_t>(WireView(frame), 2, 1, 3, 7, 16, view, &reason))
-      << reason;
-  ASSERT_EQ(view.count(), 4u);
-  ASSERT_EQ(view.run_count(), 2u);
-  // Payload order is send order (buffer order of the send set).
-  const int expect_dest[] = {1, 2, 5, 6};
-  for (std::size_t i = 0; i < view.count(); ++i) {
-    EXPECT_EQ(view.parcel(i).block.dest, expect_dest[i]);
-    EXPECT_EQ(view.parcel(i).payload, 3000 + expect_dest[i]);
-  }
-  // Run descriptors carry cumulative destination offsets.
-  EXPECT_EQ(view.run(0).dst_offset, 0u);
-  EXPECT_EQ(view.run(0).count, 2u);
-  EXPECT_EQ(view.run(1).dst_offset, 2u);
-  EXPECT_EQ(view.run(1).count, 2u);
-  // scatter() reproduces the send set contiguously at the destination.
-  std::vector<Parcel<std::int64_t>> out;
-  view.append_to(out);
-  ASSERT_EQ(out.size(), 4u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].block.dest, expect_dest[i]);
+  // Send sets over an 8-parcel buffer and the {dst_offset, count} runs
+  // they must occupy: two runs with gaps on both sides, and a single
+  // contiguous run (the §3.3 2D case, one memcpy per message).
+  struct Input {
+    std::vector<Rank> dests;
+    std::vector<std::pair<std::uint64_t, std::size_t>> runs;
+  };
+  const std::vector<Input> inputs{{{1, 2, 5, 6}, {{0, 2}, {2, 2}}}, {{2, 3, 4}, {{0, 3}}}};
+  for (const Input& input : inputs) {
+    const auto buf = make_parcels(3, 8);
+    std::vector<detail::RunSpan> runs;
+    const std::size_t count = detail::collect_send_runs(
+        buf,
+        [&](const Parcel<std::int64_t>& p) {
+          return std::find(input.dests.begin(), input.dests.end(), p.block.dest) !=
+                 input.dests.end();
+        },
+        runs);
+    ASSERT_EQ(count, input.dests.size());
+    std::vector<std::byte> frame;
+    encode_multi_run_frame(buf, runs, count, 2, 1, 3, 7, frame);
+    SealedRunFrameView<std::int64_t> view;
+    std::string reason;
+    ASSERT_TRUE(
+        decode_multi_run_frame<std::int64_t>(WireView(frame), 2, 1, 3, 7, 16, view, &reason))
+        << reason;
+    ASSERT_EQ(view.count(), count);
+    ASSERT_EQ(view.run_count(), input.runs.size());
+    // Payload order is send order (buffer order of the send set).
+    for (std::size_t i = 0; i < view.count(); ++i) {
+      EXPECT_EQ(view.parcel(i).block.dest, input.dests[i]);
+      EXPECT_EQ(view.parcel(i).payload, 3000 + input.dests[i]);
+    }
+    // Run descriptors carry cumulative destination offsets.
+    for (std::size_t r = 0; r < input.runs.size(); ++r) {
+      EXPECT_EQ(view.run(r).dst_offset, input.runs[r].first);
+      EXPECT_EQ(view.run(r).count, input.runs[r].second);
+    }
+    // append_to() scatters the send set contiguously after whatever
+    // the destination already holds.
+    std::vector<Parcel<std::int64_t>> out{buf[0]};
+    view.append_to(out);
+    ASSERT_EQ(out.size(), count + 1);
+    EXPECT_EQ(out.front().block.dest, 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(out[i + 1].block.dest, input.dests[i]);
+    }
   }
 }
 
@@ -422,6 +320,56 @@ TEST(MultiRunFrameTest, ForgedRunCountIsBoundedBeforeParsing) {
   EXPECT_FALSE(
       decode_multi_run_frame<std::int64_t>(WireView(forged), 1, 1, 1, 2, 16, view, &reason));
   EXPECT_EQ(reason, "frame size mismatch");
+}
+
+TEST(MultiRunFrameTest, ForgedParcelCountIsBoundedBeforeParsing) {
+  MultiRunFixture fx;
+  std::vector<std::byte> clean;
+  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 1, 1, 2, clean);
+  SealedRunFrameView<std::int64_t> view;
+  std::string reason;
+  const auto forge_count = [&](std::uint64_t count) {
+    auto forged = clean;
+    wire_write_u64(forged.data() + 28, count);
+    return reseal_v3(std::move(forged));
+  };
+  // A count far beyond the bytes present must be rejected by the bound
+  // check, not by reading past the frame.
+  auto forged = forge_count(std::uint64_t{1} << 60);
+  EXPECT_FALSE(
+      decode_multi_run_frame<std::int64_t>(WireView(forged), 1, 1, 1, 2, 16, view, &reason));
+  EXPECT_EQ(reason, "parcel count exceeds message size");
+  // A count smaller than the parcel bytes present is a size mismatch.
+  forged = forge_count(fx.count - 1);
+  EXPECT_FALSE(
+      decode_multi_run_frame<std::int64_t>(WireView(forged), 1, 1, 1, 2, 16, view, &reason));
+  EXPECT_EQ(reason, "frame size mismatch");
+  // So is a trailing byte after a correctly sealed frame.
+  forged = clean;
+  forged.insert(forged.end() - static_cast<std::ptrdiff_t>(detail::kFrameTrailerBytes),
+                std::byte{0});
+  forged = reseal_v3(std::move(forged));
+  EXPECT_FALSE(
+      decode_multi_run_frame<std::int64_t>(WireView(forged), 1, 1, 1, 2, 16, view, &reason));
+  EXPECT_EQ(reason, "frame size mismatch");
+}
+
+TEST(MultiRunFrameTest, NegativeMetadataRejected) {
+  MultiRunFixture fx;
+  std::vector<std::byte> frame;
+  EXPECT_THROW(encode_multi_run_frame(fx.buf, fx.runs, fx.count, -1, 1, 1, 2, frame),
+               std::invalid_argument);
+  EXPECT_THROW(encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 1, -3, 2, frame),
+               std::invalid_argument);
+  encode_multi_run_frame(fx.buf, fx.runs, fx.count, 1, 1, 1, 2, frame);
+  SealedRunFrameView<std::int64_t> view;
+  std::string reason;
+  EXPECT_FALSE(
+      decode_multi_run_frame<std::int64_t>(WireView(frame), 1, -1, 1, 2, 16, view, &reason));
+  EXPECT_EQ(reason, "negative message metadata");
+  EXPECT_FALSE(
+      decode_multi_run_frame<std::int64_t>(WireView(frame), 1, 1, 1, -2, 16, view, &reason));
+  EXPECT_EQ(reason, "negative message metadata");
 }
 
 TEST(MultiRunFrameTest, RejectsWrongStepChannelAndIdentity) {
@@ -662,29 +610,9 @@ TEST(PooledExchangeTest, PublishesWireMetrics) {
   EXPECT_GT(m.counter("wire.contiguous_sends").value(), 0);
 }
 
-// --- Sealed exchange over both wire paths ------------------------------
+// --- Sealed exchange --------------------------------------------------
 
-TEST(SealedWirePathTest, PooledAndPerParcelAgree) {
-  const TorusShape shape({4, 4});
-  const SuhShinAape algo(shape);
-  IntegrityOptions pooled_options;
-  pooled_options.wire_path = WirePath::kPooled;
-  IntegrityReport pooled_report;
-  const auto pooled =
-      exchange_payloads_sealed(algo, canonical_parcels(16), {}, pooled_options, &pooled_report);
-  IntegrityOptions per_parcel_options;
-  per_parcel_options.wire_path = WirePath::kPerParcel;
-  IntegrityReport per_parcel_report;
-  const auto per_parcel = exchange_payloads_sealed(algo, canonical_parcels(16), {},
-                                                   per_parcel_options, &per_parcel_report);
-  expect_delivered(16, pooled);
-  expect_delivered(16, per_parcel);
-  EXPECT_EQ(pooled_report.messages, per_parcel_report.messages);
-  EXPECT_EQ(pooled_report.parcels, per_parcel_report.parcels);
-  EXPECT_EQ(pooled_report.final_tick, per_parcel_report.final_tick);
-}
-
-TEST(SealedWirePathTest, PooledPathSurvivesTamperingWithRetransmit) {
+TEST(SealedWireTest, PooledPathSurvivesTamperingWithRetransmit) {
   const TorusShape shape({4, 4});
   const SuhShinAape algo(shape);
   int tampered = 0;
@@ -703,7 +631,7 @@ TEST(SealedWirePathTest, PooledPathSurvivesTamperingWithRetransmit) {
   EXPECT_EQ(report.retransmits, 3);
 }
 
-TEST(SealedWirePathTest, PooledPathGathersMultiRunFrames) {
+TEST(SealedWireTest, PooledPathGathersMultiRunFrames) {
   // The sealed pooled executor keeps buffers in caller (destination)
   // order — exactly the permuted layout that fragments send sets — so
   // its messages exercise the v3 run-gather encode, the hole-splice
@@ -713,7 +641,6 @@ TEST(SealedWirePathTest, PooledPathGathersMultiRunFrames) {
   const SuhShinAape algo(shape);
   WireArena arena;
   IntegrityOptions options;
-  options.wire_path = WirePath::kPooled;
   options.arena = &arena;
   IntegrityReport report;
   const auto out = exchange_payloads_sealed(algo, canonical_parcels(64), {}, options, &report);
@@ -751,37 +678,6 @@ bool mutate(SplitMix64& rng, const std::vector<std::byte>& clean, std::vector<st
       }
       return out != clean;  // an even re-flip of the same bit cancels
     }
-  }
-}
-
-TEST(WireFuzzTest, MutatedFramesNeverDecode) {
-  SplitMix64 rng(0xF00DFACEu);
-  const auto parcels = make_parcels(2, 6);
-  std::vector<std::byte> clean;
-  encode_sealed_frame(parcels.data(), parcels.size(), 3, 1, 2, 9, clean);
-  SealedFrameView<std::int64_t> view;
-  std::vector<std::byte> wire;
-  for (int iter = 0; iter < 4000; ++iter) {
-    if (!mutate(rng, clean, wire)) continue;
-    std::string reason;
-    const bool ok = decode_sealed_frame<std::int64_t>(WireView(wire), 3, 1, 2, 9, 16, view, &reason);
-    ASSERT_FALSE(ok) << "mutated frame decoded at iter " << iter;
-    EXPECT_FALSE(reason.empty()) << "rejection must be named (iter " << iter << ")";
-  }
-}
-
-TEST(WireFuzzTest, MutatedMessagesNeverDecode) {
-  SplitMix64 rng(0xBADDCAFEu);
-  const auto parcels = make_parcels(4, 6);
-  const auto clean = encode_sealed_message(parcels, 3, 1, 4, 9);
-  std::vector<Parcel<std::int64_t>> out;
-  std::vector<std::byte> wire;
-  for (int iter = 0; iter < 4000; ++iter) {
-    if (!mutate(rng, clean, wire)) continue;
-    std::string reason;
-    const bool ok = decode_sealed_message<std::int64_t>(wire, 3, 1, 4, 9, 16, out, &reason);
-    ASSERT_FALSE(ok) << "mutated message decoded at iter " << iter;
-    EXPECT_FALSE(reason.empty()) << "rejection must be named (iter " << iter << ")";
   }
 }
 
@@ -837,14 +733,10 @@ TEST(WireFuzzTest, ResealedRandomRunTablesNeverScatterOutOfBounds) {
 
 TEST(WireFuzzTest, RandomGarbageNeverDecodes) {
   SplitMix64 rng(0x5EEDu);
-  SealedFrameView<std::int64_t> view;
   SealedRunFrameView<std::int64_t> run_view;
-  std::vector<Parcel<std::int64_t>> out;
   for (int iter = 0; iter < 1000; ++iter) {
     std::vector<std::byte> wire(static_cast<std::size_t>(rng.next_below(256)));
     for (auto& b : wire) b = static_cast<std::byte>(rng.next() & 0xFF);
-    EXPECT_FALSE(decode_sealed_frame<std::int64_t>(WireView(wire), 1, 1, 0, 1, 4, view));
-    EXPECT_FALSE(decode_sealed_message<std::int64_t>(wire, 1, 1, 0, 1, 4, out));
     EXPECT_FALSE(decode_multi_run_frame<std::int64_t>(WireView(wire), 1, 1, 0, 1, 4, run_view));
   }
 }
