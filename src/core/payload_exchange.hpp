@@ -13,6 +13,7 @@
 #include <cstring>
 #include <iterator>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -169,28 +170,37 @@ std::size_t move_send_set(const SuhShinAape& algo, Rank p, int phase, int step,
   return moved;
 }
 
-/// The wire-free phase→step loop: every step moves each node's send
-/// set into its partner's inbox, then appends each inbox to its node's
-/// buffer.
+/// One wire-free step: every node's send set moves into its partner's
+/// inbox, then each inbox is appended to its node's buffer, so node p's
+/// arrivals sit at [received_at[p], end). Returns the parcels moved.
+template <typename T>
+std::size_t move_step(const SuhShinAape& algo, int phase, int step, ParcelBuffers<T>& buffers,
+                      ParcelBuffers<T>& inbox, std::vector<std::size_t>& received_at) {
+  std::size_t moved = 0;
+  for (std::size_t p = 0; p < buffers.size(); ++p) {
+    moved += move_send_set(algo, static_cast<Rank>(p), phase, step, buffers[p], inbox);
+  }
+  for (std::size_t p = 0; p < buffers.size(); ++p) {
+    auto& buf = buffers[p];
+    auto& in = inbox[p];
+    received_at[p] = buf.size();
+    if (in.empty()) continue;
+    buf.insert(buf.end(), std::make_move_iterator(in.begin()), std::make_move_iterator(in.end()));
+    in.clear();
+  }
+  return moved;
+}
+
+/// The wire-free phase→step loop over move_step.
 template <typename T>
 void run_move_exchange(const SuhShinAape& algo, ParcelBuffers<T>& buffers, Recorder* obs) {
-  const Rank N = algo.shape().num_nodes();
-  ParcelBuffers<T> inbox(static_cast<std::size_t>(N));
+  ParcelBuffers<T> inbox(buffers.size());
+  std::vector<std::size_t> received_at(buffers.size());
   for (int phase = 1; phase <= algo.num_phases(); ++phase) {
     SpanGuard phase_span(obs, "phase", -1, phase);
     for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
       SpanGuard step_span(obs, "step", -1, phase, step);
-      for (Rank p = 0; p < N; ++p) {
-        move_send_set(algo, p, phase, step, buffers[static_cast<std::size_t>(p)], inbox);
-      }
-      for (Rank p = 0; p < N; ++p) {
-        auto& in = inbox[static_cast<std::size_t>(p)];
-        if (in.empty()) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        buf.insert(buf.end(), std::make_move_iterator(in.begin()),
-                   std::make_move_iterator(in.end()));
-        in.clear();
-      }
+      move_step(algo, phase, step, buffers, inbox, received_at);
     }
   }
 }
@@ -304,22 +314,6 @@ void erase_runs(std::vector<Parcel<T>>& buf, const std::vector<RunSpan>& runs) {
   buf.resize(write);
 }
 
-/// Appends one contiguous run of parcels to a frame under construction
-/// (a single memcpy of the run's object representation). Returns the
-/// run's size in bytes.
-template <typename T>
-std::size_t frame_append_run(std::vector<std::byte>& frame, const Parcel<T>* run,
-                             std::size_t count) {
-  static_assert(std::is_trivially_copyable_v<Parcel<T>>,
-                "framed exchange requires trivially copyable parcels");
-  const std::size_t bytes = count * sizeof(Parcel<T>);
-  if (bytes == 0) return 0;
-  const std::size_t at = frame.size();
-  frame.resize(at + bytes);
-  std::memcpy(frame.data() + at, run, bytes);
-  return bytes;
-}
-
 /// Adds a wire-stats delta to the recorder's metric counters.
 inline void publish_wire_metrics(Recorder* obs, const WirePoolStats& d) {
   if (obs == nullptr) return;
@@ -372,8 +366,11 @@ void encode_multi_run_frame(const std::vector<Parcel<T>>& buf,
     dst_offset += n;
   }
   TOREX_CHECK(dst_offset == count, "run spans disagree with parcel count");
-  for (const detail::RunSpan& r : runs) {
-    detail::frame_append_run(frame, buf.data() + r.first, r.last - r.first);
+  for (const detail::RunSpan& r : runs) {  // one memcpy per run, `at` at the frame's end
+    const std::size_t bytes = (r.last - r.first) * sizeof(Parcel<T>);
+    frame.resize(at + bytes);
+    std::memcpy(frame.data() + at, buf.data() + r.first, bytes);
+    at += bytes;
   }
   // One streaming pass over the whole frame: the header digest is
   // sampled mid-stream (value() does not consume the accumulator),
@@ -417,18 +414,10 @@ class SealedRunFrameView {
   /// Run `r` of the table; source byte positions accumulate in table
   /// order (runs are concatenated on the wire).
   Run run(std::size_t r) const {
-    Run out;
-    const std::byte* src = payload_;
+    Run out{0, 0, payload_};
     for (std::size_t i = 0; i <= r; ++i) {
-      WireView d(table_ + i * detail::kRunDescriptorBytes, detail::kRunDescriptorBytes);
-      std::size_t offset = 0;
-      std::uint64_t dst_offset = 0, n = 0;
-      wire_get_u64(d, offset, dst_offset);
-      wire_get_u64(d, offset, n);
-      out.dst_offset = dst_offset;
-      out.count = static_cast<std::size_t>(n);
-      out.bytes = src;
-      src += static_cast<std::size_t>(n) * sizeof(Parcel<T>);
+      out.bytes += out.count * sizeof(Parcel<T>);
+      std::tie(out.dst_offset, out.count) = descriptor(i);
     }
     return out;
   }
@@ -451,14 +440,9 @@ class SealedRunFrameView {
   void scatter(Parcel<T>* dest) const {
     const std::byte* src = payload_;
     for (std::size_t r = 0; r < run_count_; ++r) {
-      WireView d(table_ + r * detail::kRunDescriptorBytes, detail::kRunDescriptorBytes);
-      std::size_t offset = 0;
-      std::uint64_t dst_offset = 0, n = 0;
-      wire_get_u64(d, offset, dst_offset);
-      wire_get_u64(d, offset, n);
-      const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(Parcel<T>);
-      std::memcpy(dest + dst_offset, src, bytes);
-      src += bytes;
+      const auto [dst_offset, n] = descriptor(r);
+      std::memcpy(dest + dst_offset, src, n * sizeof(Parcel<T>));
+      src += n * sizeof(Parcel<T>);
     }
   }
 
@@ -471,6 +455,16 @@ class SealedRunFrameView {
   }
 
  private:
+  /// Descriptor `r` of the run table: {dst_offset, count}.
+  std::pair<std::uint64_t, std::size_t> descriptor(std::size_t r) const {
+    WireView d(table_ + r * detail::kRunDescriptorBytes, detail::kRunDescriptorBytes);
+    std::size_t offset = 0;
+    std::uint64_t dst_offset = 0, n = 0;
+    wire_get_u64(d, offset, dst_offset);
+    wire_get_u64(d, offset, n);
+    return {dst_offset, static_cast<std::size_t>(n)};
+  }
+
   const std::byte* table_ = nullptr;
   std::size_t run_count_ = 0;
   const std::byte* payload_ = nullptr;
@@ -629,18 +623,31 @@ void scatter_parcels_strided(Rank N, const ParcelBuffers<T>& delivered,
   }
 }
 
+namespace detail {
+
+/// Dense rows as stride-1 views (of const T over const rows), for the
+/// strided seed and scatter path.
+template <typename Rows>
+auto dense_views(Rows& rows) {
+  std::vector<StridedView<std::remove_pointer_t<decltype(rows.front().data())>>> views;
+  views.reserve(rows.size());
+  for (auto& row : rows) views.push_back({row.data(), row.size(), 1});
+  return views;
+}
+
+}  // namespace detail
+
 // --- The framed step kernel --------------------------------------------
 //
-// exchange_payloads_sealed and exchange_payloads_pooled run the same
-// phase→step loop over the TOX3 wire; they differ only in what happens
-// at a phase boundary (the pooled executor re-sorts into the §3.3
-// layout) and in whether a tamperer sits on the wire. Per step, every
-// node scans its send set without reordering, gathers it into a leased
+// FramedStepper runs one step of every framed executor. Each node
+// scans its send set without reordering, gathers it into a leased
 // frame, lets the tamperer at it, and verifies it; a refused frame is
 // re-encoded from the intact source parcels up to the retransmit
-// budget, after which IntegrityError carries the report out. A
-// verified frame stays leased until the integrate half, which
-// hole-splices its runs into the room the receiver's own send left.
+// budget, after which IntegrityError carries the report out. The
+// integrate half splices each verified frame where its executor fixed:
+// in the hole the receiver's own send left (kHole: sealed, pooled), or
+// at the end of the receiver's buffer (kAppend: journaled and torexd's
+// SessionExchange, whose write-ahead tail reads arrivals from there).
 
 namespace detail {
 
@@ -677,130 +684,164 @@ void splice_frame(WireArena& arena, const SealedRunFrameView<T>& view,
 
 /// The wire's retransmit protocol state: the tamper hook (null for a
 /// clean wire), the retransmit budget, the fault-tick clock, and the
-/// report the kernel fills.
+/// report the stepper fills.
 struct FrameSeal {
   const ParcelTamperer* tamperer = nullptr;
   int max_retransmits = 0;
   std::int64_t tick = 0;
-  IntegrityReport report;
+  IntegrityReport report{};
 };
 
-/// Runs every phase and step of `algo` over `buffers` on the TOX3 wire.
-/// `before_phase(phase)` runs inside each phase span before its first
-/// step. Throws IntegrityError (with the report) once a message
-/// exhausts `seal.max_retransmits`.
-template <typename T, typename BeforePhase>
-void run_framed_exchange(const SuhShinAape& algo, ParcelBuffers<T>& buffers, WireArena& arena,
-                         FrameSeal& seal, Recorder* obs, BeforePhase&& before_phase) {
-  const Rank N = algo.shape().num_nodes();
-  IntegrityReport& report = seal.report;
-  // In-flight frames: one slot per destination, leased for the span of
-  // a step. The splice position is per *receiver* — the hole its own
-  // send left — so it lives in a separate per-node array, not in the
-  // frame slot (which is indexed by destination but filled by the
-  // sender).
+/// Where a verified frame lands in its receiver's buffer.
+enum class FramePlacement {
+  kHole,    ///< in the room the receiver's own send left
+  kAppend,  ///< at the end of the receiver's buffer
+};
+
+/// The framed step kernel (see the section comment), re-entrant per
+/// (phase, step). `algo` and `arena` must outlive it.
+template <typename T>
+class FramedStepper {
+ public:
+  FramedStepper(const SuhShinAape& algo, WireArena& arena, FramePlacement placement,
+                Recorder* obs = nullptr)
+      : algo_(&algo), arena_(&arena), placement_(placement), obs_(obs),
+        pending_(static_cast<std::size_t>(algo.shape().num_nodes())),
+        received_at_(pending_.size(), 0) {}
+
+  /// Retransmit state: callers set the tamperer, budget and tick, and
+  /// read the report (report.parcels counts every verified send).
+  FrameSeal seal;
+
+  /// Runs (phase, step) over `buffers` and returns the parcels sent.
+  /// `before_lease(held)` runs before each frame is leased, with the
+  /// frames this step already holds, and may throw to refuse the lease.
+  /// Throws IntegrityError once a message exhausts the seal's budget.
+  /// Every frame the step leased is back in the arena on return and on
+  /// any throw.
+  template <typename BeforeLease = void (*)(std::int64_t)>
+  std::size_t run(ParcelBuffers<T>& buffers, int phase, int step,
+                  BeforeLease&& before_lease = [](std::int64_t) {}) {
+    static_assert(std::is_trivially_copyable_v<Parcel<T>>,
+                  "framed exchange requires trivially copyable parcels");
+    struct ReleaseAll {
+      std::vector<Pending>& slots;
+      ~ReleaseAll() {
+        for (Pending& slot : slots) slot.frame.reset();
+      }
+    } release{pending_};
+    const SuhShinAape& algo = *algo_;
+    const Rank N = algo.shape().num_nodes();
+    const int hops = algo.hops_per_step(phase);
+    IntegrityReport& report = seal.report;
+    // Retransmissions across node pairs overlap in time; the step
+    // consumes 1 + (worst retransmit count) ticks.
+    std::int64_t extra_ticks = 0;
+    std::size_t sent = 0;
+    std::int64_t leased = 0;
+    for (Rank p = 0; p < N; ++p) {
+      auto& buf = buffers[static_cast<std::size_t>(p)];
+      // The hole this node's own send leaves; the end if it sends nothing.
+      received_at_[static_cast<std::size_t>(p)] = buf.size();
+      const std::size_t count = collect_send_runs(
+          buf, [&](const Parcel<T>& x) { return algo.should_send(p, phase, step, x.block); },
+          runs_);
+      if (count == 0) continue;
+      const Rank q = algo.partner(p, phase, step);
+      const Direction dir = algo.direction(p, phase, step);
+      Pending& out = pending_[static_cast<std::size_t>(q)];
+      TOREX_CHECK(!out.frame.bound(), "one-port receive violation in framed exchange");
+      before_lease(leased++);
+      for (int attempt = 0;; ++attempt) {
+        encode_send_frame(*arena_, out.frame, buf, runs_, count, phase, step, p, q);
+        const TransferContext ctx{.phase = phase, .step = step, .src = p, .dst = q,
+                                  .direction = dir, .hops = hops,
+                                  .tick = seal.tick + attempt, .attempt = attempt};
+        if (seal.tamperer != nullptr && *seal.tamperer) (*seal.tamperer)(ctx, out.frame.bytes());
+        std::string reason;
+        if (decode_multi_run_frame<T>(out.frame.view(), phase, step, p, q, N, out.view,
+                                      &reason)) {
+          // The frame holds its own copy of the runs, so the source
+          // compacts now.
+          received_at_[static_cast<std::size_t>(p)] = runs_.front().first;
+          erase_runs(buf, runs_);
+          ++report.messages;
+          report.parcels += static_cast<std::int64_t>(count);
+          report.retransmits += attempt;
+          if (obs_ != nullptr && attempt > 0) {
+            obs_->instant("retransmit_ok", q, phase, step, attempt);
+          }
+          extra_ticks = std::max<std::int64_t>(extra_ticks, attempt);
+          sent += count;
+          break;
+        }
+        ++report.corrupted;
+        if (obs_ != nullptr) obs_->instant("corrupted", q, phase, step, attempt);
+        IntegrityViolation violation{.phase = phase, .step = step, .src = p, .dst = q,
+                                     .direction = dir, .hops = hops, .tick = ctx.tick,
+                                     .attempt = attempt, .reason = std::move(reason)};
+        if (report.violations.size() < IntegrityReport::kMaxRecordedViolations) {
+          report.violations.push_back(violation);
+        }
+        if (attempt == seal.max_retransmits) {
+          report.retransmits += attempt;
+          report.fatal = violation;
+          report.final_tick = ctx.tick;
+          if (obs_ != nullptr) obs_->instant("integrity_fatal", q, phase, step, attempt);
+          throw IntegrityError("integrity failure: " + violation.describe() +
+                                   " (retransmit budget exhausted)",
+                               report);
+        }
+      }
+    }
+    // Integrate half: splice each verified frame at its placement; the
+    // frames return to the arena as `release` goes out of scope.
+    for (std::size_t p = 0; p < pending_.size(); ++p) {
+      auto& buf = buffers[p];
+      std::size_t& at = received_at_[p];
+      at = placement_ == FramePlacement::kAppend ? buf.size() : std::min(at, buf.size());
+      if (pending_[p].frame.bound()) splice_frame(*arena_, pending_[p].view, buf, at);
+    }
+    seal.tick += 1 + extra_ticks;
+    return sent;
+  }
+
+  /// Where each node's arrivals of the last step begin in its buffer;
+  /// under kAppend they run to the buffer's end.
+  const std::vector<std::size_t>& received_at() const { return received_at_; }
+
+ private:
+  /// One in-flight frame, in its receiver's slot; leased while bound.
   struct Pending {
     PooledFrame frame;
     SealedRunFrameView<T> view;
-    bool active = false;
   };
-  std::vector<Pending> pending(static_cast<std::size_t>(N));
-  std::vector<std::size_t> hole(static_cast<std::size_t>(N), 0);
-  std::vector<RunSpan> runs;  // send-set scan scratch, reused per node
+
+  const SuhShinAape* algo_;
+  WireArena* arena_;
+  FramePlacement placement_;
+  Recorder* obs_;
+  std::vector<Pending> pending_;
+  std::vector<std::size_t> received_at_;
+  std::vector<RunSpan> runs_;  // send-set scan scratch, reused per node
+};
+
+/// Runs every phase and step of `algo` over `buffers` through
+/// `stepper`. `before_phase(phase)` runs inside each phase span before
+/// its first step. Throws IntegrityError (with the report) once a
+/// message exhausts the seal's retransmit budget.
+template <typename T, typename BeforePhase>
+void run_framed_exchange(const SuhShinAape& algo, ParcelBuffers<T>& buffers,
+                         FramedStepper<T>& stepper, Recorder* obs, BeforePhase&& before_phase) {
   for (int phase = 1; phase <= algo.num_phases(); ++phase) {
     SpanGuard phase_span(obs, "phase", -1, phase);
     before_phase(phase);
-    const int hops = algo.hops_per_step(phase);
     for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
       SpanGuard step_span(obs, "step", -1, phase, step);
-      // Retransmissions across node pairs overlap in time; the step
-      // consumes 1 + (worst retransmit count) ticks.
-      std::int64_t extra_ticks = 0;
-      for (Rank p = 0; p < N; ++p) {
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        hole[static_cast<std::size_t>(p)] = buf.size();
-        const std::size_t count = collect_send_runs(
-            buf, [&](const Parcel<T>& x) { return algo.should_send(p, phase, step, x.block); },
-            runs);
-        if (count == 0) continue;
-        const Rank q = algo.partner(p, phase, step);
-        const Direction dir = algo.direction(p, phase, step);
-        Pending& out = pending[static_cast<std::size_t>(q)];
-        TOREX_CHECK(!out.active, "one-port receive violation in framed exchange");
-        for (int attempt = 0;; ++attempt) {
-          encode_send_frame(arena, out.frame, buf, runs, count, phase, step, p, q);
-          TransferContext ctx;
-          ctx.phase = phase;
-          ctx.step = step;
-          ctx.src = p;
-          ctx.dst = q;
-          ctx.direction = dir;
-          ctx.hops = hops;
-          ctx.tick = seal.tick + attempt;
-          ctx.attempt = attempt;
-          if (seal.tamperer != nullptr && *seal.tamperer) {
-            (*seal.tamperer)(ctx, out.frame.bytes());
-          }
-          std::string reason;
-          if (decode_multi_run_frame<T>(out.frame.view(), phase, step, p, q, N, out.view,
-                                        &reason)) {
-            // The frame holds its own copy of the runs, so the source
-            // compacts now; the receiver will splice into the room
-            // this node's own send just vacated.
-            out.active = true;
-            hole[static_cast<std::size_t>(p)] = runs.front().first;
-            erase_runs(buf, runs);
-            ++report.messages;
-            report.parcels += static_cast<std::int64_t>(count);
-            report.retransmits += attempt;
-            if (obs != nullptr && attempt > 0) {
-              obs->instant("retransmit_ok", q, phase, step, attempt);
-            }
-            extra_ticks = std::max<std::int64_t>(extra_ticks, attempt);
-            break;
-          }
-          ++report.corrupted;
-          if (obs != nullptr) obs->instant("corrupted", q, phase, step, attempt);
-          IntegrityViolation violation;
-          violation.phase = phase;
-          violation.step = step;
-          violation.src = p;
-          violation.dst = q;
-          violation.direction = dir;
-          violation.hops = hops;
-          violation.tick = ctx.tick;
-          violation.attempt = attempt;
-          violation.reason = std::move(reason);
-          if (report.violations.size() < IntegrityReport::kMaxRecordedViolations) {
-            report.violations.push_back(violation);
-          }
-          if (attempt == seal.max_retransmits) {
-            report.retransmits += attempt;
-            report.fatal = violation;
-            report.final_tick = ctx.tick;
-            if (obs != nullptr) obs->instant("integrity_fatal", q, phase, step, attempt);
-            throw IntegrityError("integrity failure: " + violation.describe() +
-                                     " (retransmit budget exhausted)",
-                                 std::move(report));
-          }
-        }
-      }
-      // Integrate half: splice each verified frame into the hole the
-      // receiver's own send left (append when it sent nothing), then
-      // return the frame to the arena.
-      for (Rank p = 0; p < N; ++p) {
-        Pending& in = pending[static_cast<std::size_t>(p)];
-        if (!in.active) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        const std::size_t at = std::min(hole[static_cast<std::size_t>(p)], buf.size());
-        splice_frame(arena, in.view, buf, at);
-        in.frame.reset();
-        in.active = false;
-      }
-      seal.tick += 1 + extra_ticks;
+      stepper.run(buffers, phase, step);
     }
   }
-  report.final_tick = seal.tick;
+  stepper.seal.report.final_tick = stepper.seal.tick;
 }
 
 }  // namespace detail
@@ -846,18 +887,17 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers
     if (report_out != nullptr) *report_out = r;
   };
 
-  detail::FrameSeal seal;
-  seal.tamperer = &tamperer;
-  seal.max_retransmits = options.max_retransmits;
-  seal.tick = options.base_tick;
+  detail::FramedStepper<T> stepper(algo, arena, detail::FramePlacement::kHole, obs);
+  stepper.seal = {
+      .tamperer = &tamperer, .max_retransmits = options.max_retransmits, .tick = options.base_tick};
   try {
-    detail::run_framed_exchange(algo, buffers, arena, seal, obs, [](int) {});
+    detail::run_framed_exchange(algo, buffers, stepper, obs, [](int) {});
   } catch (const IntegrityError& e) {
     finish(e.report());
     throw;
   }
   detail::check_parcel_postcondition(N, buffers);
-  finish(seal.report);
+  finish(stepper.seal.report);
   return buffers;
 }
 
@@ -943,8 +983,9 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers
     }
   };
 
-  detail::FrameSeal seal;  // the internal wire: no tamperer, no retransmits
-  detail::run_framed_exchange(algo, buffers, arena, seal, obs, rearrange);
+  // The internal wire: no tamperer, no retransmits.
+  detail::FramedStepper<T> stepper(algo, arena, detail::FramePlacement::kHole, obs);
+  detail::run_framed_exchange(algo, buffers, stepper, obs, rearrange);
   detail::check_parcel_postcondition(N, buffers);
   detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
   return buffers;

@@ -213,34 +213,19 @@ class TorusCommunicator {
       const SuhShinAape& algo = *schedule_;
       // Dense rows are stride-1 views: the same seed/scatter path the
       // strided API uses, with no extra staging in between.
-      ParcelBuffers<T> parcels = [&] {
-        std::vector<StridedView<const T>> views;
-        views.reserve(send.size());
-        for (const auto& row : send) views.push_back({row.data(), row.size(), 1});
-        return seed_parcels_strided(N, views);
-      }();
+      ParcelBuffers<T> parcels = seed_parcels_strided(N, detail::dense_views(send));
       // Trivially copyable payloads ride the pooled zero-copy wire
       // (frames recycle through the communicator's arena across
       // exchanges); other types fall back to the struct-move executor.
       ParcelBuffers<T> delivered;
       if constexpr (std::is_trivially_copyable_v<Parcel<T>>) {
-        WireExchangeOptions wire_options;
-        wire_options.arena = &wire_arena_;
-        wire_options.obs = obs;
-        delivered = exchange_payloads_pooled(algo, std::move(parcels), wire_options);
+        delivered = exchange_payloads_pooled(algo, std::move(parcels),
+                                             {.arena = &wire_arena_, .obs = obs});
       } else {
         delivered = exchange_payloads(algo, std::move(parcels), obs);
       }
       SpanGuard permute_span(obs, "permute");
-      std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
-      std::vector<StridedView<T>> recv_views;
-      recv_views.reserve(recv.size());
-      for (auto& row : recv) {
-        row.resize(static_cast<std::size_t>(N));
-        recv_views.push_back({row.data(), row.size(), 1});
-      }
-      scatter_parcels_strided(N, delivered, recv_views);
-      return recv;
+      return scatter_rows(delivered);
     }
 
     if (chosen == AlltoallAlgorithm::kSuhShinPadded) {
@@ -420,7 +405,10 @@ class TorusCommunicator {
       try {
         IntegrityReport report;
         SpanGuard verify_span(obs, "verify");
-        auto recv = run_sealed<T>(send, corruption, iopts, report, obs);
+        if (iopts.arena == nullptr) iopts.arena = &wire_arena_;
+        auto recv = scatter_rows(exchange_payloads_sealed(
+            *schedule_, seed_parcels_strided(size(), detail::dense_views(send)),
+            corruption.tamperer(schedule_->torus()), iopts, &report, obs));
         outcome.corrupted_messages += report.corrupted;
         outcome.retransmits += report.retransmits;
         if (outcome.integrity == IntegrityStatus::kClean && !report.clean()) {
@@ -526,21 +514,9 @@ class TorusCommunicator {
                            : "");
     }
 
-    ParcelBuffers<T> parcels(static_cast<std::size_t>(N));
-    for (Rank p = 0; p < N; ++p) {
-      auto& buf = parcels[static_cast<std::size_t>(p)];
-      buf.reserve(static_cast<std::size_t>(N));
-      for (Rank q = 0; q < N; ++q) {
-        buf.push_back(
-            {Block{p, q}, send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
-      }
-    }
-    JournalRunOptions run_options;
-    run_options.crash = options.crash;
-    run_options.cancel = options.cancel;
-    run_options.flush = options.flush;
-    run_options.obs = obs;
-    run_options.wire = &wire_arena_;
+    ParcelBuffers<T> parcels = seed_parcels_strided(N, detail::dense_views(send));
+    JournalRunOptions run_options{.crash = options.crash, .cancel = options.cancel,
+                                  .flush = options.flush, .obs = obs, .wire = &wire_arena_};
     ResumeReport report;
     ParcelBuffers<T> delivered;
     if (outcome.algorithm == AlltoallAlgorithm::kSuhShin && !outcome.degraded) {
@@ -556,15 +532,7 @@ class TorusCommunicator {
     outcome.resume = report;
 
     SpanGuard permute_span(obs, "permute");
-    std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
-    for (Rank q = 0; q < N; ++q) {
-      auto& row = recv[static_cast<std::size_t>(q)];
-      row.resize(static_cast<std::size_t>(N));
-      for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-        row[static_cast<std::size_t>(parcel.block.origin)] = parcel.payload;
-      }
-    }
-    return recv;
+    return scatter_rows(delivered);
   }
 
   /// Resumes an interrupted exchange from its journal: requires
@@ -581,36 +549,13 @@ class TorusCommunicator {
   }
 
  private:
-  /// Runs the sealed Suh-Shin exchange over the payloads.
+  /// Delivered parcels as dense rows, recv[q][origin], scattered
+  /// through stride-1 views.
   template <typename T>
-  std::vector<std::vector<T>> run_sealed(const std::vector<std::vector<T>>& send,
-                                         const CorruptionModel& corruption,
-                                         const IntegrityOptions& options,
-                                         IntegrityReport& report,
-                                         Recorder* obs = nullptr) const {
-    const Rank N = size();
-    const SuhShinAape& algo = *schedule_;
-    ParcelBuffers<T> parcels(static_cast<std::size_t>(N));
-    for (Rank p = 0; p < N; ++p) {
-      auto& buf = parcels[static_cast<std::size_t>(p)];
-      buf.reserve(static_cast<std::size_t>(N));
-      for (Rank q = 0; q < N; ++q) {
-        buf.push_back(
-            {Block{p, q}, send[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)]});
-      }
-    }
-    IntegrityOptions effective = options;
-    if (effective.arena == nullptr) effective.arena = &wire_arena_;
-    const auto delivered = exchange_payloads_sealed(
-        algo, std::move(parcels), corruption.tamperer(algo.torus()), effective, &report, obs);
-    std::vector<std::vector<T>> recv(static_cast<std::size_t>(N));
-    for (Rank q = 0; q < N; ++q) {
-      auto& row = recv[static_cast<std::size_t>(q)];
-      row.resize(static_cast<std::size_t>(N));
-      for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
-        row[static_cast<std::size_t>(parcel.block.origin)] = parcel.payload;
-      }
-    }
+  std::vector<std::vector<T>> scatter_rows(const ParcelBuffers<T>& delivered) const {
+    const auto N = static_cast<std::size_t>(size());
+    std::vector<std::vector<T>> recv(N, std::vector<T>(N));
+    scatter_parcels_strided(size(), delivered, detail::dense_views(recv));
     return recv;
   }
 

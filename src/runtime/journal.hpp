@@ -25,6 +25,7 @@
 // unrecoverable corruption and raises JournalError.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -232,13 +233,12 @@ struct JournalRunOptions {
   /// (JournalFileSink::sync appends incrementally).
   std::function<void(const ExchangeJournal&)> flush;
   Recorder* obs = nullptr;
-  /// Optional external frame pool. Live sends of trivially copyable
-  /// payloads always cross the wire as sealed TOX3 frames (gathered
-  /// run by run, verified, and integrated in place); when null the run
-  /// uses a private arena. Supplying one lets frames and the arena's
-  /// statistics survive across exchanges. Other payload types move
-  /// parcel structs, and replayed steps stay local and never touch the
-  /// wire either way.
+  /// Optional external frame pool (a private arena when null); lets
+  /// frames and the arena's statistics survive across exchanges. Live
+  /// steps of trivially copyable payloads run through the framed
+  /// stepper, as torexd sessions do: sealed TOX3 frames, verified and
+  /// appended to each receiver's buffer. Other payload types move parcel
+  /// structs, and replayed steps never touch the wire either way.
   WireArena* wire = nullptr;
 };
 
@@ -271,6 +271,47 @@ inline void journal_flush(ExchangeJournal& journal, const JournalRunOptions& opt
 
 /// Requires `journal` bound and matching the schedule's geometry.
 void require_journal_matches(const SuhShinAape& algo, const ExchangeJournal& journal);
+
+/// The write-ahead tail of one live step, shared by
+/// exchange_payloads_journaled and SessionExchange. Node p's arrivals
+/// of the step sit at buffers[p][received_at[p], end). In order:
+///  1. collect each arrival's (dest, origin) pair into `arrivals`,
+///     dropping, and passing to `dropped`, any whose delivery is
+///     already durable: the seed twin of a materialized parcel arriving
+///     again (exactly-once);
+///  2. record the pairs, when there are any, as one kDeliveries record;
+///  3. the crash/cancel window: `window(false)` runs before the record,
+///     `window(true)` between it and the commit, and either may throw;
+///  4. append the step's commit marker.
+template <typename T, typename Dropped, typename Window>
+void write_ahead_step(ExchangeJournal& journal, std::int64_t flat_step, ParcelBuffers<T>& buffers,
+                      const std::vector<std::size_t>& received_at,
+                      std::vector<std::pair<Rank, Rank>>& arrivals, Dropped&& dropped,
+                      Window&& window) {
+  arrivals.clear();
+  for (std::size_t p = 0; p < buffers.size(); ++p) {
+    const auto dest = static_cast<Rank>(p);
+    auto& buf = buffers[p];
+    std::size_t keep = received_at[p];
+    for (std::size_t i = keep; i < buf.size(); ++i) {
+      const Block b = buf[i].block;
+      if (b.dest == dest && b.origin != dest) {
+        if (journal.delivered().test(dest, b.origin)) {
+          dropped(dest, b.origin);
+          continue;
+        }
+        arrivals.emplace_back(dest, b.origin);
+      }
+      if (keep != i) buf[keep] = std::move(buf[i]);
+      ++keep;
+    }
+    buf.erase(buf.begin() + static_cast<std::ptrdiff_t>(keep), buf.end());
+  }
+  window(false);
+  if (!arrivals.empty()) journal.record_deliveries(flat_step, arrivals);
+  window(true);
+  journal.commit_step(flat_step);
+}
 
 }  // namespace detail
 
@@ -320,23 +361,19 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuff
   const auto uncommitted = journal.uncommitted_deliveries();
   for (const auto& [dest, origin] : uncommitted) {
     if (origin == dest) continue;
-    auto& src = buffers[static_cast<std::size_t>(origin)];
-    bool found = false;
-    for (const auto& parcel : src) {
-      if (parcel.block.origin == origin && parcel.block.dest == dest) {
-        buffers[static_cast<std::size_t>(dest)].push_back(parcel);
-        ++report.materialized;
-        found = true;
-        break;
-      }
-    }
-    TOREX_CHECK(found, "journaled delivery missing from the canonical seed");
+    const auto& src = buffers[static_cast<std::size_t>(origin)];
+    const auto seed = std::find_if(src.begin(), src.end(), [&](const Parcel<T>& parcel) {
+      return parcel.block.origin == origin && parcel.block.dest == dest;
+    });
+    TOREX_CHECK(seed != src.end(), "journaled delivery missing from the canonical seed");
+    buffers[static_cast<std::size_t>(dest)].push_back(*seed);
+    ++report.materialized;
   }
 
-  ParcelBuffers<T> inbox(static_cast<std::size_t>(N));
+  ParcelBuffers<T> inbox(static_cast<std::size_t>(N));  // wire-free steps only
+  std::vector<std::size_t> received_at(static_cast<std::size_t>(N));
   std::vector<std::pair<Rank, Rank>> arrivals;
-  PooledFrame frame;  // wire-path scratch, rebound per message
-  std::vector<detail::RunSpan> wire_runs;  // wire-path send-set scan scratch
+  detail::FramedStepper<T> stepper(algo, arena, detail::FramePlacement::kAppend, obs);
   std::int64_t flat_step = 0;  // 0-based global step index
 
   for (int phase = 1; phase <= algo.num_phases(); ++phase) {
@@ -348,97 +385,56 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuff
       // A materialized duplicate already sitting on its destination
       // never matches should_send (the predicates compare node vs
       // dest coordinates), so only genuine in-flight parcels move.
-      arrivals.clear();
-      for (Rank p = 0; p < N; ++p) {
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        if constexpr (framed) {
-          if (!replay) {
-            // Live send: the send set is gathered run-by-run straight
-            // out of the (unreordered) buffer into a TOX3 frame,
-            // CRC-verified, and scattered onto the inbox in place. The
-            // internal wire is never tampered with, so a failed
-            // verification is a logic error, not a retransmit case.
-            const std::size_t count = detail::collect_send_runs(
-                buf,
-                [&](const Parcel<T>& x) { return algo.should_send(p, phase, step, x.block); },
-                wire_runs);
-            if (count == 0) continue;
-            report.sent_parcels += static_cast<std::int64_t>(count);
-            const Rank q = algo.partner(p, phase, step);
-            detail::encode_send_frame(arena, frame, buf, wire_runs, count, phase, step, p, q);
-            SealedRunFrameView<T> view;
-            std::string why;
-            TOREX_CHECK(
-                decode_multi_run_frame<T>(frame.view(), phase, step, p, q, N, view, &why),
-                "journaled wire frame failed verification: " + why);
-            auto& in = inbox[static_cast<std::size_t>(q)];
-            detail::splice_frame(arena, view, in, in.size());
-            detail::erase_runs(buf, wire_runs);
-            continue;
-          }
-        }
-        const auto moved =
-            static_cast<std::int64_t>(detail::move_send_set(algo, p, phase, step, buf, inbox));
-        (replay ? report.replayed_parcels : report.sent_parcels) += moved;
+      // Committed steps replay locally and journal nothing. Live sends
+      // of trivially copyable parcels cross the internal wire (no
+      // tamperer, no retransmits) as sealed TOX3 frames appended to each
+      // receiver's buffer.
+      if (replay) {
+        report.replayed_parcels += static_cast<std::int64_t>(
+            detail::move_step(algo, phase, step, buffers, inbox, received_at));
+        continue;
       }
-      for (Rank p = 0; p < N; ++p) {
-        auto& in = inbox[static_cast<std::size_t>(p)];
-        if (in.empty()) continue;
-        auto& buf = buffers[static_cast<std::size_t>(p)];
-        for (auto& parcel : in) {
-          if (parcel.block.dest == p) {
-            if (!replay && journal.delivered().test(p, parcel.block.origin)) {
-              // Durable copy already materialized; this is the seed
-              // copy arriving again. Exactly-once: drop it.
-              ++report.duplicates_dropped;
-              if (obs != nullptr) {
-                obs->instant("duplicate_dropped", p, phase, step,
-                             static_cast<std::int64_t>(parcel.block.origin));
-              }
-              continue;
-            }
-            arrivals.emplace_back(p, parcel.block.origin);
-          }
-          buf.push_back(std::move(parcel));
-        }
-        in.clear();
+      if constexpr (framed) {
+        report.sent_parcels += static_cast<std::int64_t>(stepper.run(buffers, phase, step));
+        received_at = stepper.received_at();
+      } else {
+        report.sent_parcels += static_cast<std::int64_t>(
+            detail::move_step(algo, phase, step, buffers, inbox, received_at));
       }
 
-      if (replay) continue;  // progress already durable; nothing to journal
-
-      // Write-ahead order: deliveries flush before the commit marker,
-      // and the cooperative cancel window sits exactly between them.
-      // Self pairs are pre-marked at bind; filter them out.
-      std::vector<std::pair<Rank, Rank>> new_deliveries;
-      for (const auto& [dest, origin] : arrivals) {
-        if (dest != origin) new_deliveries.emplace_back(dest, origin);
-      }
+      // The injected crash fires on its side of the flush; the
+      // cooperative cancel window sits between flush and commit.
       const bool crash_here = options.crash.armed() && options.crash.phase == phase &&
                               options.crash.step == step;
-      if (crash_here && !options.crash.after_flush) {
-        throw ExchangeCrashError(phase, step,
-                                 "injected crash before journal flush (phase " +
-                                     std::to_string(phase) + ", step " + std::to_string(step) +
-                                     ")");
-      }
-      if (!new_deliveries.empty()) {
-        journal.record_deliveries(flat_step, new_deliveries);
-        detail::journal_flush(journal, options, report);
-        if (obs != nullptr) {
-          obs->instant("journal_flush", -1, phase, step,
-                       static_cast<std::int64_t>(new_deliveries.size()));
-        }
-      }
-      if (crash_here) {
-        throw ExchangeCrashError(phase, step,
-                                 "injected crash after journal flush (phase " +
-                                     std::to_string(phase) + ", step " + std::to_string(step) +
-                                     ")");
-      }
-      if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
-        detail::throw_journal_cancelled(phase, step);
-      }
-      journal.commit_step(flat_step);
+      detail::write_ahead_step(
+          journal, flat_step, buffers, received_at, arrivals,
+          [&](Rank dest, Rank origin) {
+            ++report.duplicates_dropped;
+            if (obs != nullptr) {
+              obs->instant("duplicate_dropped", dest, phase, step,
+                           static_cast<std::int64_t>(origin));
+            }
+          },
+          [&](bool flushed) {
+            if (flushed && !arrivals.empty()) {
+              detail::journal_flush(journal, options, report);
+              if (obs != nullptr) {
+                obs->instant("journal_flush", -1, phase, step,
+                             static_cast<std::int64_t>(arrivals.size()));
+              }
+            }
+            if (crash_here && options.crash.after_flush == flushed) {
+              throw ExchangeCrashError(phase, step,
+                                       std::string("injected crash ") +
+                                           (flushed ? "after" : "before") +
+                                           " journal flush (phase " + std::to_string(phase) +
+                                           ", step " + std::to_string(step) + ")");
+            }
+            if (flushed && options.cancel != nullptr &&
+                options.cancel->load(std::memory_order_relaxed)) {
+              detail::throw_journal_cancelled(phase, step);
+            }
+          });
       detail::journal_flush(journal, options, report);
     }
     if (phase > journal.committed_phase()) {

@@ -12,12 +12,12 @@ namespace {
 
 using Word = std::int64_t;
 
-/// A step's in-flight message: the sealed frame stays leased (RAII)
-/// until the integrate half has verified and spliced it.
-struct PendingFrame {
-  PooledFrame frame;
-  Rank src = -1;
-  Rank dst = -1;
+/// The injected corruption: one flipped run-table bit, which the frame
+/// CRC refuses. The session's seal has no retransmit budget, so the
+/// first refused frame ends the exchange and the flip fires once.
+const ParcelTamperer kFlipRunTableBit = [](const TransferContext&, std::vector<std::byte>& frame) {
+  frame[detail::kFrameV3HeaderBytes] ^= std::byte{0x01};
+  return true;
 };
 
 }  // namespace
@@ -25,28 +25,17 @@ struct PendingFrame {
 SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo,
                                  const std::vector<std::vector<Word>>& send, WireArena& arena,
                                  std::int64_t max_leased_frames, FlightRecorder* flight)
-    : SessionExchange(id, algo,
-                      [&] {
-                        // Dense rows are just stride-1 views.
-                        std::vector<StridedView<const Word>> views;
-                        views.reserve(send.size());
-                        for (const auto& row : send) {
-                          views.push_back({row.data(), row.size(), 1});
-                        }
-                        return views;
-                      }(),
-                      arena, max_leased_frames, flight) {}
+    : SessionExchange(id, algo, detail::dense_views(send), arena, max_leased_frames, flight) {}
 
 SessionExchange::SessionExchange(SessionId id, const SuhShinAape& algo,
                                  const std::vector<StridedView<const Word>>& send,
                                  WireArena& arena, std::int64_t max_leased_frames,
                                  FlightRecorder* flight)
-    : id_(id), algo_(&algo), arena_(&arena), flight_(flight),
-      frame_quota_(max_leased_frames) {
+    : id_(id), algo_(&algo), flight_(flight), frame_quota_(max_leased_frames),
+      stepper_(algo, arena, detail::FramePlacement::kAppend) {
   const Rank N = algo.shape().num_nodes();
   TOREX_REQUIRE(static_cast<Rank>(send.size()) == N, "session send buffer must have N rows");
   buffers_ = seed_parcels_strided(N, send);
-  inbox_.resize(static_cast<std::size_t>(N));
   journal_ = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
 }
 
@@ -150,13 +139,9 @@ PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
                                         const SessionInjection& inject,
                                         const HealthContext& health) {
   TOREX_REQUIRE(!complete(), "session exchange already complete");
-  const Rank N = algo_->shape().num_nodes();
   const int phase = phases_done_ + 1;
-  bool corrupted_this_phase = false;
+  stepper_.seal.tamperer = inject.corrupt_phase == phase ? &kFlipRunTableBit : nullptr;
 
-  std::vector<PendingFrame> pending;
-  std::vector<std::pair<Rank, Rank>> arrivals;
-  std::vector<detail::RunSpan> runs;  // send-set scan scratch, reused per node
   for (int step = next_step_; step <= algo_->steps_in_phase(phase); ++step) {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
       flight_note("svc.cancelled", health, phase, step);
@@ -167,86 +152,43 @@ PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
       return PhaseOutcome::kDeferred;
     }
 
-    // Send half: scan each node's buffer for its send runs (no
-    // reordering), gather them into a leased multi-run frame, and
-    // count the lease against the tenant's quota before the arena is
-    // touched.
-    const std::int64_t sent_before = sent_parcels_;
-    pending.clear();
-    arrivals.clear();
-    for (Rank p = 0; p < N; ++p) {
-      auto& buf = buffers_[static_cast<std::size_t>(p)];
-      const std::size_t send_count = detail::collect_send_runs(
-          buf,
-          [&](const Parcel<Word>& x) { return algo_->should_send(p, phase, step, x.block); },
-          runs);
-      if (send_count == 0) continue;
-      if (frame_quota_ > 0 && static_cast<std::int64_t>(pending.size()) >= frame_quota_) {
-        flight_note("svc.quota_breach", health, phase, step,
-                    static_cast<std::int64_t>(pending.size()) + 1);
-        throw SessionQuotaError(id_, static_cast<std::int64_t>(pending.size()), frame_quota_);
-      }
-      const Rank q = algo_->partner(p, phase, step);
-      PendingFrame out;
-      detail::encode_send_frame(*arena_, out.frame, buf, runs, send_count, phase, step, p, q);
-      if (inject.corrupt_phase == phase && !corrupted_this_phase) {
-        // One flipped run-table bit: the frame CRC refuses it below.
-        out.frame.bytes()[detail::kFrameV3HeaderBytes] ^= std::byte{0x01};
-        corrupted_this_phase = true;
-      }
-      out.src = p;
-      out.dst = q;
-      pending.push_back(std::move(out));
-      sent_parcels_ += static_cast<std::int64_t>(send_count);
-      detail::erase_runs(buf, runs);
-    }
-    peak_leased_ = std::max(peak_leased_, static_cast<std::int64_t>(pending.size()));
-
-    // Integrate half: verify each frame in place and append its run to
-    // the receiver's inbox. A refused frame kills this session only —
-    // the pending frames release via RAII on the throw.
-    for (const PendingFrame& in : pending) {
-      SealedRunFrameView<Word> view;
-      std::string why;
-      if (!decode_multi_run_frame<Word>(in.frame.view(), phase, step, in.src, in.dst, N, view,
-                                        &why)) {
-        flight_note("svc.integrity_refused", health, phase, step, in.src);
-        throw SessionIntegrityError(id_, phase, step, why);
-      }
-      auto& inbox = inbox_[static_cast<std::size_t>(in.dst)];
-      detail::splice_frame(*arena_, view, inbox, inbox.size());
-    }
-    pending.clear();  // return the step's frames to the arena
-    for (Rank p = 0; p < N; ++p) {
-      auto& in = inbox_[static_cast<std::size_t>(p)];
-      if (in.empty()) continue;
-      auto& buf = buffers_[static_cast<std::size_t>(p)];
-      for (auto& parcel : in) {
-        if (parcel.block.dest == p && parcel.block.origin != p) {
-          arrivals.emplace_back(p, parcel.block.origin);
+    // The tenant's frame quota is checked at lease time, before the
+    // arena is touched. A refused frame kills this session only; either
+    // throw leaves the step's frames back in the arena.
+    std::size_t sent = 0;
+    try {
+      sent = stepper_.run(buffers_, phase, step, [&](std::int64_t held) {
+        if (frame_quota_ > 0 && held >= frame_quota_) {
+          flight_note("svc.quota_breach", health, phase, step, held + 1);
+          throw SessionQuotaError(id_, held, frame_quota_);
         }
-        buf.push_back(std::move(parcel));
-      }
-      in.clear();
+        peak_leased_ = std::max(peak_leased_, held + 1);
+      });
+    } catch (const IntegrityError& error) {
+      const IntegrityViolation& refused = *error.report().fatal;
+      flight_note("svc.integrity_refused", health, phase, step, refused.src);
+      throw SessionIntegrityError(id_, phase, step, refused.reason);
     }
 
-    // Write-ahead order, exactly as the journaled executor: deliveries
-    // flush before the commit marker; the crash injection and the
-    // cancel window both sit between them.
-    if (!arrivals.empty()) journal_.record_deliveries(flat_step_, arrivals);
-    if (inject.crash_phase == phase && step == 1) {
-      flight_note("svc.crash", health, phase, step);
-      throw ExchangeCrashError(phase, step,
-                               "injected session crash after journal flush (phase " +
-                                   std::to_string(phase) + ", step " + std::to_string(step) +
-                                   ")");
-    }
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      flight_note("svc.cancelled", health, phase, step);
-      detail::throw_journal_cancelled(phase, step);
-    }
-    journal_.commit_step(flat_step_);
-    flight_note("wire.step", health, phase, step, sent_parcels_ - sent_before);
+    // Write-ahead order, shared with the journaled executor: the crash
+    // injection and the cancel window sit between flush and commit.
+    detail::write_ahead_step(
+        journal_, flat_step_, buffers_, stepper_.received_at(), arrivals_, [](Rank, Rank) {},
+        [&](bool flushed) {
+          if (!flushed) return;
+          if (inject.crash_phase == phase && step == 1) {
+            flight_note("svc.crash", health, phase, step);
+            throw ExchangeCrashError(phase, step,
+                                     "injected session crash after journal flush (phase " +
+                                         std::to_string(phase) + ", step " +
+                                         std::to_string(step) + ")");
+          }
+          if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+            flight_note("svc.cancelled", health, phase, step);
+            detail::throw_journal_cancelled(phase, step);
+          }
+        });
+    flight_note("wire.step", health, phase, step, static_cast<std::int64_t>(sent));
     ++flat_step_;
   }
   next_step_ = 1;
@@ -256,15 +198,9 @@ PhaseOutcome SessionExchange::run_phase(const std::atomic<bool>* cancel,
 }
 
 std::vector<std::vector<Word>> SessionExchange::take_result() {
-  const Rank N = algo_->shape().num_nodes();
-  std::vector<std::vector<Word>> recv(static_cast<std::size_t>(N));
-  std::vector<StridedView<Word>> views;
-  views.reserve(recv.size());
-  for (auto& row : recv) {
-    row.resize(static_cast<std::size_t>(N));
-    views.push_back({row.data(), row.size(), 1});
-  }
-  take_result_into(views);
+  const auto N = static_cast<std::size_t>(algo_->shape().num_nodes());
+  std::vector<std::vector<Word>> recv(N, std::vector<Word>(N));
+  take_result_into(detail::dense_views(recv));
   return recv;
 }
 

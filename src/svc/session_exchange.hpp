@@ -4,19 +4,18 @@
 // one call; the weighted-fair scheduler needs to interleave *phases*
 // from different sessions. SessionExchange is the journaled data path
 // re-cut at phase granularity: each run_phase() call executes exactly
-// one Suh-Shin phase's steps over the session's parcels — pooled sealed
-// frames on the wire, write-ahead journal flush before every step
-// commit, cooperative cancel polled at the step boundary and inside the
-// flush/commit window — then returns control to the scheduler. State
-// between calls lives in the object, so a session can sit unscheduled
-// for arbitrarily long between phases while other tenants use the
-// engine.
+// one Suh-Shin phase's steps, each through the same framed stepper
+// and write-ahead tail as the journaled executor (journal flush before
+// every step commit, cooperative cancel polled at the step boundary and
+// inside the flush/commit window), then returns control to the
+// scheduler. State between calls lives in the object, so a session can
+// sit unscheduled for arbitrarily long between phases while other
+// tenants use the engine.
 //
 // Isolation properties the manager relies on:
-//  * every frame leased from the shared arena during a step is held by
-//    an RAII PooledFrame inside run_phase's scope — any throw (crash,
-//    corruption, quota, cancel) releases them all before unwinding, so
-//    a failing session cannot leak frames into other tenants' budget
+//  * every frame a step leased from the shared arena is back in it
+//    before any throw (crash, corruption, quota, cancel) unwinds, so a
+//    failing session cannot leak frames into other tenants' budget
 //    (WirePoolStats::outstanding_frames() stays balanced);
 //  * the journal is per-session: a victim's partial journal decodes and
 //    resumes independently of every other session's;
@@ -26,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/aape.hpp"
@@ -87,7 +87,8 @@ class SessionExchange {
   int num_phases() const { return algo_->num_phases(); }
   int phases_done() const { return phases_done_; }
   bool complete() const { return phases_done_ == num_phases(); }
-  std::int64_t sent_parcels() const { return sent_parcels_; }
+  /// Parcels this session's verified frames carried so far.
+  std::int64_t sent_parcels() const { return stepper_.seal.report.parcels; }
   /// Retry-budget tokens this session's discoveries drew (per-tenant
   /// spend attribution for the SLO ledger).
   std::int64_t resent_parcels() const { return resent_parcels_; }
@@ -133,16 +134,16 @@ class SessionExchange {
 
   SessionId id_;
   const SuhShinAape* algo_;
-  WireArena* arena_;
   FlightRecorder* flight_ = nullptr;
   std::int64_t frame_quota_;
   ParcelBuffers<std::int64_t> buffers_;
-  ParcelBuffers<std::int64_t> inbox_;
+  /// Zero retransmit budget: a refused frame ends the session.
+  detail::FramedStepper<std::int64_t> stepper_;
+  std::vector<std::pair<Rank, Rank>> arrivals_;  ///< write-ahead scratch
   ExchangeJournal journal_;
   std::int64_t flat_step_ = 0;  // 0-based global step index
   int phases_done_ = 0;
   int next_step_ = 1;  ///< deferred-phase resume point (1-based in-phase)
-  std::int64_t sent_parcels_ = 0;
   std::int64_t resent_parcels_ = 0;
   std::int64_t peak_leased_ = 0;
 };

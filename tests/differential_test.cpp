@@ -283,12 +283,126 @@ TEST_P(DifferentialTest, SessionExchangePhaseByPhaseMatchesOracle) {
   EXPECT_EQ(arena.stats().outstanding_frames(), 0);
 }
 
+TEST_P(DifferentialTest, JournaledAndSessionWriteIdenticalJournals) {
+  // The two executors that append frames at the receiver's buffer end
+  // share one stepper and one write-ahead tail: on the same seeded
+  // payloads, a fresh journaled run and a phase-by-phase session write
+  // byte-identical journals, book identical wire traffic, and deliver
+  // the same payloads.
+  const SuhShinAape algo{TorusShape{GetParam().extents}};
+  const Rank N = algo.shape().num_nodes();
+  SplitMix64 rng(GetParam().seed);
+  std::vector<std::vector<std::int64_t>> send(static_cast<std::size_t>(N));
+  ParcelBuffers<std::int64_t> parcels(static_cast<std::size_t>(N));
+  for (Rank p = 0; p < N; ++p) {
+    for (Rank q = 0; q < N; ++q) {
+      const auto payload = static_cast<std::int64_t>(rng.next());
+      send[static_cast<std::size_t>(p)].push_back(payload);
+      parcels[static_cast<std::size_t>(p)].push_back({Block{p, q}, payload});
+    }
+  }
+
+  WireArena journaled_arena;
+  ExchangeJournal journal;
+  JournalRunOptions options;
+  options.wire = &journaled_arena;
+  ResumeReport report;
+  const auto delivered =
+      exchange_payloads_journaled(algo, std::move(parcels), journal, options, report);
+
+  WireArena session_arena;
+  SessionExchange session(1, algo, send, session_arena, /*max_leased_frames=*/0);
+  while (!session.complete()) {
+    ASSERT_EQ(session.run_phase(nullptr, SessionInjection{}), PhaseOutcome::kComplete);
+  }
+  EXPECT_EQ(journal.encode(), session.journal().encode());
+  const WirePoolStats& a = journaled_arena.stats();
+  const WirePoolStats& b = session_arena.stats();
+  EXPECT_GT(a.messages, 0);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.runs_encoded, b.runs_encoded);
+  EXPECT_EQ(a.bytes_encoded, b.bytes_encoded);
+  EXPECT_EQ(a.bytes_copied, b.bytes_copied);
+  EXPECT_EQ(report.sent_parcels, session.sent_parcels());
+
+  const auto recv = session.take_result();
+  for (Rank q = 0; q < N; ++q) {
+    for (const auto& parcel : delivered[static_cast<std::size_t>(q)]) {
+      EXPECT_EQ(recv[static_cast<std::size_t>(q)][static_cast<std::size_t>(parcel.block.origin)],
+                parcel.payload)
+          << "node " << q << " origin " << parcel.block.origin;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Cases, DifferentialTest,
                          ::testing::Values(DiffCase{{8, 8}, 1}, DiffCase{{8, 8}, 2},
                                            DiffCase{{12, 8}, 3}, DiffCase{{12, 12}, 4},
                                            DiffCase{{8, 8, 4}, 5}, DiffCase{{8, 4, 4}, 6},
                                            DiffCase{{16, 4}, 7},
                                            DiffCase{{4, 4, 4, 4}, 8}));
+
+TEST(DifferentialTest, JournaledStringPayloadsTakeTheMovePathExactlyOnce) {
+  // std::string parcels are not trivially copyable, so live journaled
+  // steps move parcel structs instead of crossing the framed wire. A
+  // fresh run must match the oracle; so must a run killed after a mid
+  // step's flush and then resumed, with every materialized parcel's
+  // seed copy arriving again as a dropped duplicate.
+  for (const TorusShape& shape : {TorusShape::make_2d(8, 8), TorusShape({8, 4, 4})}) {
+    const SuhShinAape algo(shape);
+    const Rank N = shape.num_nodes();
+    const auto oracle = oracle_blocks(algo);
+    // The payload spells the canonical number, padded past the small
+    // string buffer so every move carries a heap allocation.
+    const auto seed = [&] {
+      ParcelBuffers<std::string> buffers(static_cast<std::size_t>(N));
+      for (Rank p = 0; p < N; ++p) {
+        for (Rank q = 0; q < N; ++q) {
+          buffers[static_cast<std::size_t>(p)].push_back(
+              {Block{p, q}, std::to_string(payload_of(N, p, q)) + std::string(32, '#')});
+        }
+      }
+      return buffers;
+    };
+    const auto expect_oracle = [&](const ParcelBuffers<std::string>& delivered,
+                                   const std::string& who) {
+      ParcelBuffers<std::int64_t> numbers(delivered.size());
+      for (std::size_t q = 0; q < delivered.size(); ++q) {
+        for (const auto& parcel : delivered[q]) {
+          numbers[q].push_back({parcel.block, std::stoll(parcel.payload)});
+        }
+      }
+      expect_matches_oracle(oracle, numbers, shape.to_string() + " " + who);
+    };
+
+    ExchangeJournal fresh;
+    ResumeReport report;
+    expect_oracle(exchange_payloads_journaled(algo, seed(), fresh, JournalRunOptions{}, report),
+                  "fresh");
+    EXPECT_TRUE(fresh.exchange_complete());
+    EXPECT_EQ(report.duplicates_dropped, 0);
+
+    std::vector<std::pair<int, int>> active;
+    for (int phase = 1; phase <= algo.num_phases(); ++phase) {
+      for (int step = 1; step <= algo.steps_in_phase(phase); ++step) active.emplace_back(phase, step);
+    }
+    const auto [phase, step] = active[active.size() / 2];
+    ExchangeJournal crashed;
+    JournalRunOptions crash;
+    crash.crash = CrashPoint{phase, step, /*after_flush=*/true};
+    EXPECT_THROW(exchange_payloads_journaled(algo, seed(), crashed, crash, report),
+                 ExchangeCrashError);
+    ExchangeJournal loaded = ExchangeJournal::decode(crashed.encode());
+    ResumeReport resumed;
+    expect_oracle(exchange_payloads_journaled(algo, seed(), loaded, JournalRunOptions{}, resumed),
+                  "resumed");
+    EXPECT_TRUE(loaded.exchange_complete());
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_GT(resumed.materialized, 0) << shape.to_string() << " crash at (" << phase << ", "
+                                       << step << ") flushed nothing";
+    EXPECT_EQ(resumed.duplicates_dropped, resumed.materialized);
+  }
+}
 
 TEST(DifferentialTest, CanonicalWorkloadAcrossAllExecutors) {
   // The full N^2 workload through every executor on one shape.
