@@ -80,7 +80,7 @@ using namespace torex;
 /// Allocations-per-step ceiling for the warm framed paths (pooled
 /// paper, sealed, strided). The steady-state wire itself allocates
 /// nothing (frames recycle through the arena); what remains is buffer
-/// growth and the phase-boundary stable_sort scratch, both O(N) per
+/// growth and the phase-boundary counting-sort scratch, both O(N) per
 /// phase. The budget is deliberately
 /// a hard constant: if a change re-introduces per-message allocation,
 /// allocs-per-step jumps by ~the message count and this trips.

@@ -43,8 +43,8 @@ void SuhShinAape::precompute() {
       const std::size_t i = static_cast<std::size_t>(per_dim_index(r, d));
       const std::int32_t v = c[static_cast<std::size_t>(d)];
       sub_[i] = static_cast<std::int16_t>(v / 4);
-      half_[i] = static_cast<std::int8_t>((v % 4) / 2);
-      parity_[i] = static_cast<std::int8_t>(v % 2);
+      half_[i] = static_cast<std::int16_t>((v % 4) / 2);
+      parity_[i] = static_cast<std::int16_t>(v % 2);
       mod4_[i] = static_cast<std::int8_t>(v % 4);
     }
     for (int phase = 1; phase <= n; ++phase) {
@@ -145,26 +145,21 @@ Rank SuhShinAape::partner(Rank node, int phase, int step) const {
   return torus_.neighbor_at(node, dir, hops_per_step(phase));
 }
 
-bool SuhShinAape::should_send(Rank node, int phase, int step, const Block& b) const {
+SuhShinAape::SendTest SuhShinAape::send_test(Rank node, int phase, int step) const {
+  const auto column = [&](const std::vector<std::int16_t>& classes, int dim) {
+    return SendTest(classes.data() + dim, num_dims(),
+                    classes[static_cast<std::size_t>(per_dim_index(node, dim))]);
+  };
   switch (phase_kind(phase)) {
-    case PhaseKind::kScatter: {
-      const Direction dir =
-          scatter_dirs_[static_cast<std::size_t>(scatter_dir_index(node, phase))];
-      return sub_[static_cast<std::size_t>(per_dim_index(b.dest, dir.dim))] !=
-             sub_[static_cast<std::size_t>(per_dim_index(node, dir.dim))];
-    }
-    case PhaseKind::kQuarterExchange: {
-      const int dim = quarter_dims_[static_cast<std::size_t>((step - 1)) *
-                                        static_cast<std::size_t>(shape().num_nodes()) +
-                                    static_cast<std::size_t>(node)];
-      return half_[static_cast<std::size_t>(per_dim_index(b.dest, dim))] !=
-             half_[static_cast<std::size_t>(per_dim_index(node, dim))];
-    }
-    case PhaseKind::kPairExchange: {
-      const int dim = pair_dims_[static_cast<std::size_t>(step - 1)];
-      return parity_[static_cast<std::size_t>(per_dim_index(b.dest, dim))] !=
-             parity_[static_cast<std::size_t>(per_dim_index(node, dim))];
-    }
+    case PhaseKind::kScatter:
+      return column(sub_,
+                    scatter_dirs_[static_cast<std::size_t>(scatter_dir_index(node, phase))].dim);
+    case PhaseKind::kQuarterExchange:
+      return column(half_, quarter_dims_[static_cast<std::size_t>((step - 1)) *
+                                             static_cast<std::size_t>(shape().num_nodes()) +
+                                         static_cast<std::size_t>(node)]);
+    case PhaseKind::kPairExchange:
+      return column(parity_, pair_dims_[static_cast<std::size_t>(step - 1)]);
   }
   TOREX_UNREACHABLE();
 }

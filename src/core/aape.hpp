@@ -23,6 +23,7 @@
 //             step dimension
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -75,9 +76,41 @@ class SuhShinAape {
   /// The fixed node `node`'s message is addressed to in (phase, step).
   Rank partner(Rank node, int phase, int step) const;
 
+  /// The forwarding predicate of one (node, phase, step), hoisted out
+  /// of per-block loops. Every rule compares one per-dimension class of
+  /// the block's destination (coord/4 for scatter, (coord%4)/2 for the
+  /// quarter exchange, coord%2 for the pair exchange) along the step's
+  /// dimension against the holder's own class, so a test is a column
+  /// pointer, a stride and a class: one load and one compare per block.
+  class SendTest {
+   public:
+    /// Should the holder include `b` in this (phase, step) message?
+    bool operator()(const Block& b) const { return class_of(b.dest) != own_; }
+    /// `dest`'s class along the step's dimension.
+    int class_of(Rank dest) const { return column_[static_cast<std::ptrdiff_t>(dest) * stride_]; }
+    /// The holder's class along the step's dimension.
+    int own_class() const { return own_; }
+
+   private:
+    friend class SuhShinAape;
+    SendTest(const std::int16_t* column, std::ptrdiff_t stride, int own)
+        : column_(column), stride_(stride), own_(own) {}
+
+    const std::int16_t* column_;
+    std::ptrdiff_t stride_;
+    int own_;
+  };
+
+  /// The (phase, step) forwarding predicate of `node`; valid while this
+  /// schedule lives. For scatter phases it is step-independent.
+  SendTest send_test(Rank node, int phase, int step) const;
+
   /// Forwarding predicate: should `node` include block `b` in its
-  /// (phase, step) message?
-  bool should_send(Rank node, int phase, int step, const Block& b) const;
+  /// (phase, step) message? Per-block loops take send_test() once
+  /// instead.
+  bool should_send(Rank node, int phase, int step, const Block& b) const {
+    return send_test(node, phase, step)(b);
+  }
 
  private:
   void precompute();
@@ -95,9 +128,10 @@ class SuhShinAape {
   std::vector<Direction> scatter_dirs_;    // [(phase-1) * N + node]
   std::vector<std::int8_t> quarter_dims_;  // [(step-1) * N + node]
   std::vector<int> pair_dims_;             // [step-1]
+  // Class columns, one int16 type so a SendTest can point into any.
   std::vector<std::int16_t> sub_;          // [node * n + dim] = coord/4
-  std::vector<std::int8_t> half_;          // [node * n + dim] = (coord%4)/2
-  std::vector<std::int8_t> parity_;        // [node * n + dim] = coord%2
+  std::vector<std::int16_t> half_;         // [node * n + dim] = (coord%4)/2
+  std::vector<std::int16_t> parity_;       // [node * n + dim] = coord%2
   std::vector<std::int8_t> mod4_;          // [node * n + dim] = coord%4
 };
 

@@ -61,9 +61,13 @@ struct LayoutStats {
 
 // --- §3.3 layout keys --------------------------------------------------
 //
-// Shared by the block-level layout simulator below and the pooled
-// payload executor (core/payload_exchange.hpp), so both order their
-// buffers identically and report comparable run statistics.
+// The reference keys of the block-level layout simulator below, which
+// orders buffers by std::stable_sort over them. The pooled payload
+// executor (core/payload_exchange.hpp) computes the same keys from
+// SuhShinAape::send_test columns in one stable counting pass; that
+// pass must reproduce this stable_sort order exactly (wire_test pins
+// the two per shape, phase, node and layout), so both executors order
+// their buffers identically and report comparable run statistics.
 namespace layout {
 
 /// Scatter-phase key: directed ring distance (in subtorus hops) from

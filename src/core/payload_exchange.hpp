@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -159,9 +160,9 @@ void check_parcel_postcondition(Rank N, const ParcelBuffers<T>& buffers) {
 template <typename T>
 std::size_t move_send_set(const SuhShinAape& algo, Rank p, int phase, int step,
                           std::vector<Parcel<T>>& buf, ParcelBuffers<T>& inbox) {
-  auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Parcel<T>& x) {
-    return !algo.should_send(p, phase, step, x.block);
-  });
+  const SuhShinAape::SendTest sends = algo.send_test(p, phase, step);
+  auto split = std::stable_partition(buf.begin(), buf.end(),
+                                     [&](const Parcel<T>& x) { return !sends(x.block); });
   const auto moved = static_cast<std::size_t>(std::distance(split, buf.end()));
   if (moved == 0) return 0;
   auto& in = inbox[static_cast<std::size_t>(algo.partner(p, phase, step))];
@@ -345,8 +346,7 @@ void encode_multi_run_frame(const std::vector<Parcel<T>>& buf,
   TOREX_REQUIRE(phase >= 0 && step >= 0 && src >= 0 && dst >= 0,
                 "sealed message metadata must be non-negative");
   frame.clear();
-  frame.reserve(detail::multi_run_frame_bytes<T>(runs.size(), count));
-  frame.resize(detail::kFrameV3HeaderBytes + runs.size() * detail::kRunDescriptorBytes);
+  frame.resize(detail::multi_run_frame_bytes<T>(runs.size(), count));
   std::byte* h = frame.data();
   wire_write_u32(h + 0, detail::kFrameV3Magic);
   wire_write_u32(h + 4, static_cast<std::uint32_t>(phase));
@@ -366,9 +366,8 @@ void encode_multi_run_frame(const std::vector<Parcel<T>>& buf,
     dst_offset += n;
   }
   TOREX_CHECK(dst_offset == count, "run spans disagree with parcel count");
-  for (const detail::RunSpan& r : runs) {  // one memcpy per run, `at` at the frame's end
+  for (const detail::RunSpan& r : runs) {  // one memcpy per run
     const std::size_t bytes = (r.last - r.first) * sizeof(Parcel<T>);
-    frame.resize(at + bytes);
     std::memcpy(frame.data() + at, buf.data() + r.first, bytes);
     at += bytes;
   }
@@ -379,11 +378,8 @@ void encode_multi_run_frame(const std::vector<Parcel<T>>& buf,
   Crc32 crc;
   crc.update(frame.data(), 48);
   wire_write_u32(frame.data() + 48, crc.value());
-  crc.update(frame.data() + 48, frame.size() - 48);
-  const std::uint32_t frame_crc = crc.value();
-  const std::size_t end = frame.size();
-  frame.resize(end + detail::kFrameTrailerBytes);
-  wire_write_u32(frame.data() + end, frame_crc);
+  crc.update(frame.data() + 48, at - 48);
+  wire_write_u32(frame.data() + at, crc.value());
 }
 
 /// Non-owning typed view over a verified multi-run frame: the run
@@ -743,9 +739,9 @@ class FramedStepper {
       auto& buf = buffers[static_cast<std::size_t>(p)];
       // The hole this node's own send leaves; the end if it sends nothing.
       received_at_[static_cast<std::size_t>(p)] = buf.size();
-      const std::size_t count = collect_send_runs(
-          buf, [&](const Parcel<T>& x) { return algo.should_send(p, phase, step, x.block); },
-          runs_);
+      const SuhShinAape::SendTest sends = algo.send_test(p, phase, step);
+      const std::size_t count =
+          collect_send_runs(buf, [&](const Parcel<T>& x) { return sends(x.block); }, runs_);
       if (count == 0) continue;
       const Rank q = algo.partner(p, phase, step);
       const Direction dir = algo.direction(p, phase, step);
@@ -827,15 +823,17 @@ class FramedStepper {
 };
 
 /// Runs every phase and step of `algo` over `buffers` through
-/// `stepper`. `before_phase(phase)` runs inside each phase span before
-/// its first step. Throws IntegrityError (with the report) once a
-/// message exhausts the seal's retransmit budget.
+/// `stepper`. `before_phase(phase)` runs before each phase's span
+/// opens, so work it records under its own span (the pooled executor's
+/// "rearrange") is not counted a second time in the phase's extent.
+/// Throws IntegrityError (with the report) once a message exhausts the
+/// seal's retransmit budget.
 template <typename T, typename BeforePhase>
 void run_framed_exchange(const SuhShinAape& algo, ParcelBuffers<T>& buffers,
                          FramedStepper<T>& stepper, Recorder* obs, BeforePhase&& before_phase) {
   for (int phase = 1; phase <= algo.num_phases(); ++phase) {
-    SpanGuard phase_span(obs, "phase", -1, phase);
     before_phase(phase);
+    SpanGuard phase_span(obs, "phase", -1, phase);
     for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
       SpanGuard step_span(obs, "step", -1, phase, step);
       stepper.run(buffers, phase, step);
@@ -903,12 +901,95 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers
 
 // --- Pooled layout-faithful exchange -----------------------------------
 
+namespace detail {
+
+/// Scratch of rearrange_by_layout, reused across nodes and phases: it
+/// reaches steady-state capacity after the first pass, so later phase
+/// boundaries allocate nothing.
+template <typename T>
+struct LayoutScratch {
+  std::vector<std::uint32_t> keys;           // per parcel
+  std::vector<std::uint32_t> starts;         // per key: next placement slot
+  std::vector<std::uint32_t> key_of;         // per class or send-test word: its key
+  std::vector<SuhShinAape::SendTest> tests;  // per exchange-phase step
+  std::vector<Parcel<T>> sorted;             // swapped with the node's buffer
+};
+
+/// Orders node `p`'s buffer for `phase` under `policy` with one stable
+/// counting sort. Every key is a function of the block's destination
+/// read through the phase's send tests:
+///   scatter         directed ring distance from the holder's subtorus
+///                   class to the destination's (range a/4)
+///   quarter, pair   gray_rank of the n send-test bits (range 2^n)
+///   naive           the destination rank (range N)
+/// Equal keys keep their buffer order, so the result is exactly
+/// std::stable_sort over layout::scatter_key / gray_rank(
+/// difference_vector) or the destination, for any input order.
+/// Under kPaper a scatter phase must have at least one step.
+template <typename T>
+void rearrange_by_layout(const SuhShinAape& algo, LayoutPolicy policy, Rank p, int phase,
+                         std::vector<Parcel<T>>& buf, LayoutScratch<T>& scratch) {
+  std::vector<std::uint32_t>& keys = scratch.keys;
+  keys.resize(buf.size());
+  const auto key_all = [&](auto&& key) {
+    for (std::size_t i = 0; i < buf.size(); ++i) keys[i] = key(buf[i].block);
+  };
+  std::size_t range = 0;
+  if (policy == LayoutPolicy::kNaiveDestinationOrder) {
+    range = static_cast<std::size_t>(algo.shape().num_nodes());
+    key_all([](const Block& b) { return static_cast<std::uint32_t>(b.dest); });
+  } else if (algo.phase_kind(phase) == PhaseKind::kScatter) {
+    const SuhShinAape::SendTest sends = algo.send_test(p, phase, 1);
+    const Direction dir = algo.direction(p, phase, 1);
+    const int ring = algo.shape().extent(dir.dim) / 4;
+    range = static_cast<std::size_t>(ring);
+    scratch.key_of.resize(range);
+    for (int c = 0; c < ring; ++c) {
+      const int ahead = (c - sends.own_class() + ring) % ring;
+      scratch.key_of[static_cast<std::size_t>(c)] =
+          static_cast<std::uint32_t>(dir.sign == Sign::kPositive ? ahead : (ring - ahead) % ring);
+    }
+    key_all([&](const Block& b) {
+      return scratch.key_of[static_cast<std::size_t>(sends.class_of(b.dest))];
+    });
+  } else {
+    const int n = algo.num_dims();
+    std::vector<SuhShinAape::SendTest>& tests = scratch.tests;
+    tests.clear();
+    for (int step = 1; step <= n; ++step) tests.push_back(algo.send_test(p, phase, step));
+    range = std::size_t{1} << n;
+    scratch.key_of.resize(range);
+    for (std::size_t w = 0; w < range; ++w) {
+      scratch.key_of[w] = layout::gray_rank(static_cast<std::uint32_t>(w));
+    }
+    key_all([&](const Block& b) {
+      std::uint32_t bits = 0;  // step 1 is the most significant bit
+      for (const SuhShinAape::SendTest& sends : tests) {
+        bits = (bits << 1) | static_cast<std::uint32_t>(sends(b));
+      }
+      return scratch.key_of[bits];
+    });
+  }
+
+  std::vector<std::uint32_t>& starts = scratch.starts;
+  starts.assign(range + 1, 0);
+  for (const std::uint32_t k : keys) ++starts[k + 1];
+  for (std::size_t k = 1; k < range; ++k) starts[k] += starts[k - 1];
+  std::vector<Parcel<T>>& sorted = scratch.sorted;
+  sorted.resize(buf.size());
+  for (std::size_t i = 0; i < buf.size(); ++i) sorted[starts[keys[i]]++] = buf[i];
+  buf.swap(sorted);
+}
+
+}  // namespace detail
+
 /// Options for exchange_payloads_pooled.
 struct WireExchangeOptions {
-  /// Buffer ordering at phase boundaries: the paper's §3.3 keys
-  /// (contiguous sends, single-memcpy frames) or the naive
-  /// destination order (fragments sends into gathered runs — the
-  /// arena's run accounting quantifies the difference).
+  /// Buffer ordering, set by one stable counting pass per phase
+  /// boundary: the paper's §3.3 keys (contiguous sends, single-memcpy
+  /// frames) or the naive destination order (fragments sends into
+  /// gathered runs — the arena's run accounting quantifies the
+  /// difference).
   LayoutPolicy layout = LayoutPolicy::kPaper;
   /// Optional external frame pool; a private arena is used when null.
   WireArena* arena = nullptr;
@@ -916,8 +997,9 @@ struct WireExchangeOptions {
 };
 
 /// exchange_payloads over the zero-copy wire: buffers are kept in the
-/// paper's §3.3 physical order (re-sorted once per phase boundary,
-/// exactly like data_array's layout simulator), each step's send set
+/// paper's §3.3 physical order (one stable counting pass per phase
+/// boundary, giving exactly the order data_array's layout simulator
+/// sorts into), each step's send set
 /// is gathered run-by-run into a pooled frame — one memcpy per run,
 /// and under the paper layout in 2D that is one memcpy per message —
 /// and receives are verified in place and spliced into the hole the
@@ -930,8 +1012,7 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers
                                           const WireExchangeOptions& options = {}) {
   static_assert(std::is_trivially_copyable_v<Parcel<T>>,
                 "pooled exchange requires trivially copyable parcels");
-  const TorusShape& shape = algo.shape();
-  const Rank N = shape.num_nodes();
+  const Rank N = algo.shape().num_nodes();
   detail::require_canonical_parcel_seed(N, buffers);
   Recorder* obs = options.obs;
   if (obs != nullptr && !obs->enabled()) obs = nullptr;
@@ -940,46 +1021,21 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers
   const WirePoolStats stats_before = arena.stats();
   SpanGuard exchange_span(obs, "exchange");
 
-  // Decorate-sort-undecorate scratch, reused across nodes and phases:
-  // each layout key is computed once per parcel instead of once per
-  // comparison, and the scratch reaches steady-state capacity after
-  // the first pass — phase boundaries then allocate nothing beyond
-  // stable_sort's own temporary.
-  std::vector<std::pair<std::uint64_t, Parcel<T>>> keyed;
-  // Phase-boundary rearrangement: one pass, same accounting as the
-  // layout simulator (phase 1's initial order is counted as given).
+  // Phase-boundary rearrangement: one counting pass per node, same
+  // accounting as the layout simulator (phase 1's initial order is
+  // counted as given). A phase without steps moves nothing, so its
+  // order is left for the next boundary to set.
+  detail::LayoutScratch<T> scratch;
   const auto rearrange = [&](int phase) {
     if (phase > 1) {
       ++arena.stats().rearrangement_passes;
       arena.stats().parcels_rearranged += N;
     }
+    if (algo.steps_in_phase(phase) == 0) return;
+    SpanGuard rearrange_span(obs, "rearrange", -1, phase);
     for (Rank p = 0; p < N; ++p) {
-      auto& buf = buffers[static_cast<std::size_t>(p)];
-      auto sort_by = [&](auto&& key_of) {
-        keyed.clear();
-        keyed.reserve(buf.size());
-        for (const Parcel<T>& a : buf) keyed.emplace_back(key_of(a), a);
-        std::stable_sort(keyed.begin(), keyed.end(),
-                         [](const auto& x, const auto& y) { return x.first < y.first; });
-        for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = keyed[i].second;
-      };
-      if (options.layout == LayoutPolicy::kNaiveDestinationOrder) {
-        std::stable_sort(buf.begin(), buf.end(), [](const Parcel<T>& a, const Parcel<T>& b) {
-          return a.block.dest < b.block.dest;
-        });
-      } else if (algo.phase_kind(phase) == PhaseKind::kScatter) {
-        if (algo.steps_in_phase(phase) == 0) continue;
-        const Direction dir = algo.direction(p, phase, 1);
-        const Coord pc = shape.coord_of(p);
-        sort_by([&](const Parcel<T>& a) {
-          return static_cast<std::uint64_t>(layout::scatter_key(shape, pc, a.block, dir));
-        });
-      } else {
-        sort_by([&](const Parcel<T>& a) {
-          return static_cast<std::uint64_t>(
-              layout::gray_rank(layout::difference_vector(algo, p, phase, a.block)));
-        });
-      }
+      detail::rearrange_by_layout(algo, options.layout, p, phase,
+                                  buffers[static_cast<std::size_t>(p)], scratch);
     }
   };
 

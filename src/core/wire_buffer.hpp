@@ -25,8 +25,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -48,15 +50,41 @@ class WireView {
   std::size_t size_ = 0;
 };
 
+namespace detail {
+
+/// Little-endian word at a raw position: one word-sized copy on
+/// little-endian hosts (the frame codec reads and writes a run table
+/// of these per message), byte by byte elsewhere.
+template <typename U>
+U wire_load_le(const std::byte* at) {
+  U v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, at, sizeof(U));
+  } else {
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      v |= static_cast<U>(std::to_integer<std::uint8_t>(at[i])) << (8 * i);
+    }
+  }
+  return v;
+}
+
+template <typename U>
+void wire_store_le(std::byte* at, U v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, sizeof(U));
+  } else {
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      at[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
+    }
+  }
+}
+
+}  // namespace detail
+
 /// Little-endian read of a 32-bit word from a view; false when short.
 inline bool wire_get_u32(WireView in, std::size_t& offset, std::uint32_t& v) {
   if (in.size() < offset + 4) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             std::to_integer<std::uint8_t>(in.data()[offset + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
+  v = detail::wire_load_le<std::uint32_t>(in.data() + offset);
   offset += 4;
   return true;
 }
@@ -64,30 +92,17 @@ inline bool wire_get_u32(WireView in, std::size_t& offset, std::uint32_t& v) {
 /// Little-endian read of a 64-bit word from a view; false when short.
 inline bool wire_get_u64(WireView in, std::size_t& offset, std::uint64_t& v) {
   if (in.size() < offset + 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(
-             std::to_integer<std::uint8_t>(in.data()[offset + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
+  v = detail::wire_load_le<std::uint64_t>(in.data() + offset);
   offset += 8;
   return true;
 }
 
 /// Little-endian write of a 32-bit word at a raw position (the caller
 /// guarantees 4 bytes of room) — used to patch frame headers in place.
-inline void wire_write_u32(std::byte* at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    at[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
-  }
-}
+inline void wire_write_u32(std::byte* at, std::uint32_t v) { detail::wire_store_le(at, v); }
 
 /// Little-endian write of a 64-bit word at a raw position.
-inline void wire_write_u64(std::byte* at, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    at[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
-  }
-}
+inline void wire_write_u64(std::byte* at, std::uint64_t v) { detail::wire_store_le(at, v); }
 
 /// Pool and traffic statistics of a WireArena. Pool counters describe
 /// buffer recycling; traffic counters describe what crossed the wire;
@@ -120,7 +135,7 @@ struct WirePoolStats {
   std::int64_t gathered_parcels = 0;   ///< parcels of multi-run (gathered) sends
   std::int64_t runs_encoded = 0;       ///< total runs across all sends
   std::int64_t max_runs_per_send = 1;  ///< worst fragmentation seen
-  std::int64_t rearrangement_passes = 0;  ///< phase-boundary re-sorts
+  std::int64_t rearrangement_passes = 0;  ///< phase-boundary passes
   std::int64_t parcels_rearranged = 0;    ///< parcels touched by those passes
 
   /// Records one send of `count` parcels that occupied `runs` runs.

@@ -60,10 +60,9 @@ bool SessionExchange::health_gate(int phase, int step, const HealthContext& heal
   std::vector<ChannelId> route;
   for (Rank p = 0; p < N; ++p) {
     const auto& buf = buffers_[static_cast<std::size_t>(p)];
-    std::int64_t parcels = 0;
-    for (const Parcel<Word>& x : buf) {
-      if (algo_->should_send(p, phase, step, x.block)) ++parcels;
-    }
+    const SuhShinAape::SendTest sends = algo_->send_test(p, phase, step);
+    const auto parcels = static_cast<std::int64_t>(std::count_if(
+        buf.begin(), buf.end(), [&](const Parcel<Word>& x) { return sends(x.block); }));
     if (parcels == 0) continue;
     const Rank q = algo_->partner(p, phase, step);
 

@@ -2,6 +2,9 @@
 // geometry, and the forwarding predicates (paper §3.2-§3.4, §4).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/aape.hpp"
 #include "core/schedule_stats.hpp"
 #include "topology/group.hpp"
@@ -136,6 +139,49 @@ TEST(AapeTest, ScatterPredicateComparesSubmeshAlongPhaseDimension) {
   // Phase 2 for key 0 goes +r: SM rows != 0 forwarded.
   EXPECT_TRUE(algo.should_send(p, 2, 1, Block{p, s.rank_of({4, 0})}));
   EXPECT_FALSE(algo.should_send(p, 2, 1, Block{p, s.rank_of({2, 0})}));
+}
+
+TEST(AapeTest, SendTestMatchesCoordinateRulesExhaustively) {
+  // The hoisted predicate against the paper's rules, recomputed here
+  // from coordinates: along the step's dimension, scatter compares
+  // coord/4, the quarter exchange (coord%4)/2, the pair exchange
+  // coord%2, of the destination and the holder.
+  for (const auto& extents : std::vector<std::vector<std::int32_t>>{
+           {8, 8}, {12, 8}, {8, 8, 4}, {8, 4, 4, 4}}) {
+    const SuhShinAape algo{TorusShape(extents)};
+    const TorusShape& s = algo.shape();
+    const Rank N = s.num_nodes();
+    std::vector<Coord> coords;
+    for (Rank r = 0; r < N; ++r) coords.push_back(s.coord_of(r));
+    const auto class_of = [&](PhaseKind kind, std::int32_t v) {
+      switch (kind) {
+        case PhaseKind::kScatter: return v / 4;
+        case PhaseKind::kQuarterExchange: return (v % 4) / 2;
+        case PhaseKind::kPairExchange: return v % 2;
+      }
+      return -1;
+    };
+    std::int64_t checked = 0, mismatched = 0;
+    for (Rank p = 0; p < N; ++p) {
+      for (int phase = 1; phase <= algo.num_phases(); ++phase) {
+        const PhaseKind kind = algo.phase_kind(phase);
+        for (int step = 1; step <= algo.steps_in_phase(phase); ++step) {
+          const auto dim = static_cast<std::size_t>(algo.direction(p, phase, step).dim);
+          const SuhShinAape::SendTest sends = algo.send_test(p, phase, step);
+          EXPECT_EQ(sends.own_class(), class_of(kind, coords[static_cast<std::size_t>(p)][dim]));
+          for (Rank d = 0; d < N; ++d) {
+            const Block b{p, d};
+            const bool rule = class_of(kind, coords[static_cast<std::size_t>(d)][dim]) !=
+                              class_of(kind, coords[static_cast<std::size_t>(p)][dim]);
+            ++checked;
+            if (sends(b) != rule || algo.should_send(p, phase, step, b) != rule) ++mismatched;
+          }
+        }
+      }
+    }
+    EXPECT_GT(checked, 0) << s.to_string();
+    EXPECT_EQ(mismatched, 0) << s.to_string();
+  }
 }
 
 TEST(AapeTest, FourByFourTorusHasOnlyExchangePhases) {

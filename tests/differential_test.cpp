@@ -176,6 +176,26 @@ TEST_P(DifferentialTest, PooledPayloadsMatchOracleOnBothLayouts) {
   }
 }
 
+TEST_P(DifferentialTest, PooledPayloadsFromShuffledSeedMatchOracle) {
+  // The canonical workload with each node's parcels in shuffled order:
+  // the phase-boundary rearrangement must not depend on the seed being
+  // in destination order.
+  const SuhShinAape algo{TorusShape{GetParam().extents}};
+  const Rank N = algo.shape().num_nodes();
+  const auto oracle = oracle_blocks(algo);
+  for (const LayoutPolicy layout :
+       {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+    SplitMix64 rng(GetParam().seed);
+    ParcelBuffers<std::int64_t> shuffled = canonical_parcels(N);
+    for (auto& node : shuffled) deterministic_shuffle(node, rng);
+    WireExchangeOptions options;
+    options.layout = layout;
+    expect_matches_oracle(oracle, exchange_payloads_pooled(algo, std::move(shuffled), options),
+                          layout == LayoutPolicy::kPaper ? "pooled shuffled (paper)"
+                                                         : "pooled shuffled (naive)");
+  }
+}
+
 TEST_P(DifferentialTest, SealedPayloadsMatchOracleCleanAndTampered) {
   const SuhShinAape algo{TorusShape{GetParam().extents}};
   const Rank N = algo.shape().num_nodes();

@@ -1,6 +1,7 @@
 // Tests for the telemetry layer: recorder, metrics, Chrome-trace export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "core/exchange_engine.hpp"
+#include "core/payload_exchange.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -392,6 +394,51 @@ TEST(ChromeTraceTest, InstrumentedEngineRunSummarizes) {
   std::int64_t steps = 0;
   for (std::size_t i = 0; i + 2 < summary.rows.size(); ++i) steps += summary.rows[i].steps;
   EXPECT_EQ(steps, static_cast<std::int64_t>(trace.steps.size()));
+}
+
+TEST(ChromeTraceTest, PooledExchangeFeedsTheRearrangementRow) {
+  // The pooled executor records each phase-boundary pass as a
+  // "rearrange" span, outside its phase's span, so the summary prices
+  // the pass once, in the rearrangement row.
+  const SuhShinAape algo(TorusShape::make_2d(8, 8));
+  const Rank N = algo.shape().num_nodes();
+  ParcelBuffers<std::int64_t> parcels(static_cast<std::size_t>(N));
+  for (Rank p = 0; p < N; ++p) {
+    for (Rank q = 0; q < N; ++q) parcels[static_cast<std::size_t>(p)].push_back({Block{p, q}, q});
+  }
+  Recorder recorder;
+  WireExchangeOptions options;
+  options.obs = &recorder;
+  exchange_payloads_pooled(algo, std::move(parcels), options);
+  const Telemetry telemetry = recorder.snapshot();
+  const auto spans = pair_spans(telemetry);
+
+  std::vector<int> rearranged;
+  std::vector<int> phases_with_steps;
+  for (int phase = 1; phase <= algo.num_phases(); ++phase) {
+    if (algo.steps_in_phase(phase) > 0) phases_with_steps.push_back(phase);
+  }
+  for (const SpanInstance& span : spans) {
+    if (span.name != "rearrange") continue;
+    rearranged.push_back(span.phase);
+    for (const SpanInstance& other : spans) {
+      if (other.name == "rearrange" || other.phase != span.phase) continue;
+      EXPECT_GE(other.begin_ns, span.end_ns)
+          << other.name << " span of phase " << span.phase << " overlaps its rearrangement";
+    }
+  }
+  std::sort(rearranged.begin(), rearranged.end());
+  EXPECT_EQ(rearranged, phases_with_steps);
+
+  const ExchangeTrace trace = ExchangeEngine(algo).run_verified();
+  const PhaseSummary summary = summarize_vs_model(telemetry, trace, CostParams{});
+  ASSERT_GE(summary.rows.size(), 2u);
+  const PhaseSummaryRow& rearrange = summary.rows[summary.rows.size() - 2];
+  EXPECT_EQ(rearrange.label, "rearrangement");
+  EXPECT_GT(rearrange.measured_ns, 0);
+  std::int64_t others = 0;
+  for (std::size_t i = 0; i + 1 < summary.rows.size(); ++i) others += summary.rows[i].measured_ns;
+  EXPECT_EQ(summary.rows.back().measured_ns, others);
 }
 
 TEST(ChromeTraceTest, DisabledRecorderThroughEngineRecordsNothing) {

@@ -496,6 +496,75 @@ TEST(PooledExchangeTest, RunAccountingMatchesLayoutSimulator) {
   }
 }
 
+bool same_parcels(const std::vector<Parcel<std::int64_t>>& a,
+                  const std::vector<Parcel<std::int64_t>>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Parcel<std::int64_t>& x, const Parcel<std::int64_t>& y) {
+                      return x.block == y.block && x.payload == y.payload;
+                    });
+}
+
+TEST(PooledExchangeTest, CountingRearrangementMatchesReferenceStableSort) {
+  // The executor's phase-boundary counting sort against the layout
+  // simulator's reference order: std::stable_sort over the layout::
+  // keys (the destination, for the naive layout). Equal keys must keep
+  // their input order, so every (policy, phase, node) runs on the
+  // canonical seed, a shuffle of it, and a shuffled doubled seed in
+  // which every destination appears twice.
+  SplitMix64 rng(14);
+  for (const auto& extents : std::vector<std::vector<std::int32_t>>{
+           {4, 4}, {8, 8}, {12, 8}, {8, 4, 4}, {8, 8, 4}, {4, 4, 4, 4}}) {
+    const TorusShape shape(extents);
+    const SuhShinAape algo(shape);
+    const Rank N = shape.num_nodes();
+    const ParcelBuffers<std::int64_t> seed = canonical_parcels(N);
+    detail::LayoutScratch<std::int64_t> scratch;
+    std::int64_t checked = 0, mismatched = 0;
+    for (const LayoutPolicy policy :
+         {LayoutPolicy::kPaper, LayoutPolicy::kNaiveDestinationOrder}) {
+      for (int phase = 1; phase <= algo.num_phases(); ++phase) {
+        const bool scatter = algo.phase_kind(phase) == PhaseKind::kScatter;
+        if (policy == LayoutPolicy::kPaper && scatter && algo.steps_in_phase(phase) == 0) {
+          continue;  // nothing to order, and no transmit direction to key by
+        }
+        for (Rank p = 0; p < N; ++p) {
+          const Coord pc = shape.coord_of(p);
+          const auto key = [&](const Block& b) -> std::int64_t {
+            if (policy == LayoutPolicy::kNaiveDestinationOrder) return b.dest;
+            if (scatter) return layout::scatter_key(shape, pc, b, algo.direction(p, phase, 1));
+            return layout::gray_rank(layout::difference_vector(algo, p, phase, b));
+          };
+          const auto& canonical = seed[static_cast<std::size_t>(p)];
+          std::vector<Parcel<std::int64_t>> shuffled = canonical;
+          deterministic_shuffle(shuffled, rng);
+          std::vector<Parcel<std::int64_t>> doubled = shuffled;
+          for (Parcel<std::int64_t> x : canonical) {
+            x.payload = -x.payload - 1;
+            doubled.push_back(x);
+          }
+          deterministic_shuffle(doubled, rng);
+          using Buffer = std::vector<Parcel<std::int64_t>>;
+          const Buffer* inputs[] = {&canonical, &shuffled, &doubled};
+          for (const Buffer* input : inputs) {
+            std::vector<std::pair<std::int64_t, Parcel<std::int64_t>>> keyed;
+            for (const auto& x : *input) keyed.emplace_back(key(x.block), x);
+            std::stable_sort(keyed.begin(), keyed.end(),
+                             [](const auto& a, const auto& b) { return a.first < b.first; });
+            std::vector<Parcel<std::int64_t>> expected;
+            for (const auto& [k, x] : keyed) expected.push_back(x);
+            std::vector<Parcel<std::int64_t>> actual = *input;
+            detail::rearrange_by_layout(algo, policy, p, phase, actual, scratch);
+            ++checked;
+            if (!same_parcels(actual, expected)) ++mismatched;
+          }
+        }
+      }
+    }
+    EXPECT_GT(checked, 0) << shape.to_string();
+    EXPECT_EQ(mismatched, 0) << shape.to_string();
+  }
+}
+
 TEST(PooledExchangeTest, PaperLayoutIsFullyContiguousIn2D) {
   const TorusShape shape({8, 8});
   const SuhShinAape algo(shape);

@@ -539,9 +539,12 @@ bool svc_chaos_sweep(const TorusShape& shape, int sessions_k, std::uint64_t base
                                                static_cast<std::uint64_t>(sessions_k));
     for (SessionId id = 0; id < sessions_k; ++id) {
       SessionRequest req;
-      req.tenant = id == victim && std::string(mode.name) == "frame-quota"
-                       ? "victim"
-                       : "t" + std::to_string(id % 3);
+      if (id == victim && std::string(mode.name) == "frame-quota") {
+        req.tenant = "victim";
+      } else {
+        req.tenant = "t";
+        req.tenant += std::to_string(id % 3);
+      }
       req.weight = static_cast<int>(1 + id % 3);
       req.send = svc_send_matrix(N, id);
       if (id == victim) {
