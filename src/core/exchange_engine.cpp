@@ -41,8 +41,6 @@ ExchangeEngine::ExchangeEngine(const SuhShinAape& algorithm, EngineOptions optio
 void ExchangeEngine::reset() {
   const Rank N = algo_.shape().num_nodes();
   buffers_.assign(static_cast<std::size_t>(N), {});
-  incoming_.assign(static_cast<std::size_t>(N), {});
-  incoming_source_.assign(static_cast<std::size_t>(N), -1);
   for (Rank p = 0; p < N; ++p) {
     auto& buf = buffers_[static_cast<std::size_t>(p)];
     buf.reserve(static_cast<std::size_t>(N));
@@ -68,33 +66,7 @@ ExchangeTrace ExchangeEngine::run_custom(std::vector<std::vector<Block>> initial
   for (auto& e : expected) std::sort(e.begin(), e.end());
 
   buffers_ = std::move(initial);
-  incoming_.assign(static_cast<std::size_t>(N), {});
-  incoming_source_.assign(static_cast<std::size_t>(N), -1);
-
-  ExchangeTrace trace;
-  trace.rearrangement_passes = algo_.num_dims() + 1;
-  trace.blocks_per_rearrangement = N;
-  const EngineObs obs(options_.obs);
-  for (int phase = 1; phase <= algo_.num_phases(); ++phase) {
-    SpanGuard phase_span(obs.obs, "phase", -1, phase);
-    for (int step = 1; step <= algo_.steps_in_phase(phase); ++step) {
-      const std::int64_t started_ns = obs.obs != nullptr ? obs.obs->now_ns() : 0;
-      SpanGuard step_span(obs.obs, "step", -1, phase, step);
-      StepRecord record;
-      record.phase = phase;
-      record.step = step;
-      record.hops = algo_.hops_per_step(phase);
-      execute_step(phase, step, record);
-      if (options_.on_step_end) options_.on_step_end(phase, step, record, buffers_);
-      obs.step_done(started_ns, record);
-      trace.steps.push_back(std::move(record));
-    }
-    if (options_.check_phase_invariants) {
-      const int n = algo_.num_dims();
-      if (phase == n) check_after_scatter();
-      if (phase == n + 1) check_after_quarter();
-    }
-  }
+  ExchangeTrace trace = play();
 
   for (Rank p = 0; p < N; ++p) {
     auto got = buffers_[static_cast<std::size_t>(p)];
@@ -107,10 +79,18 @@ ExchangeTrace ExchangeEngine::run_custom(std::vector<std::vector<Block>> initial
 
 ExchangeTrace ExchangeEngine::run() {
   reset();
+  return play();
+}
+
+ExchangeTrace ExchangeEngine::play() {
+  const Rank N = algo_.shape().num_nodes();
+  incoming_.assign(static_cast<std::size_t>(N), {});
+  incoming_source_.assign(static_cast<std::size_t>(N), -1);
+
   ExchangeTrace trace;
   const int n = algo_.num_dims();
   trace.rearrangement_passes = n + 1;
-  trace.blocks_per_rearrangement = algo_.shape().num_nodes();
+  trace.blocks_per_rearrangement = N;
   trace.steps.reserve(static_cast<std::size_t>(algo_.total_steps()));
 
   const EngineObs obs(options_.obs);

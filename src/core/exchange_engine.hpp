@@ -77,6 +77,9 @@ class ExchangeEngine {
 
  private:
   void reset();
+  /// Plays every phase over buffers_ (seeded by the caller): the one
+  /// phase/step loop behind run() and run_custom().
+  ExchangeTrace play();
   void execute_step(int phase, int step, StepRecord& record);
   void check_after_scatter() const;
   void check_after_quarter() const;

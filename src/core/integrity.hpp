@@ -1,5 +1,5 @@
-// Data-integrity layer for payload exchanges: wire primitives, tamper
-// hooks, and the detect-and-retransmit protocol's report types.
+// Data-integrity layer for payload exchanges: tamper hooks and the
+// detect-and-retransmit protocol's report types.
 //
 // The schedule proofs elsewhere in this library guarantee *where*
 // blocks go; they say nothing about the bytes surviving the trip. This
@@ -31,48 +31,6 @@
 #include "topology/torus.hpp"
 
 namespace torex {
-
-// --- Wire primitives ---------------------------------------------------
-
-/// Little-endian append of a 32-bit word.
-inline void wire_put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-/// Little-endian append of a 64-bit word.
-inline void wire_put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-/// Little-endian read of a 32-bit word; false when the buffer is short.
-inline bool wire_get_u32(const std::vector<std::byte>& in, std::size_t& offset,
-                         std::uint32_t& v) {
-  if (in.size() < offset + 4) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(in[offset + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  offset += 4;
-  return true;
-}
-
-/// Little-endian read of a 64-bit word; false when the buffer is short.
-inline bool wire_get_u64(const std::vector<std::byte>& in, std::size_t& offset,
-                         std::uint64_t& v) {
-  if (in.size() < offset + 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(in[offset + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  offset += 8;
-  return true;
-}
 
 // --- Tamper hook -------------------------------------------------------
 

@@ -104,6 +104,13 @@ inline void wire_write_u32(std::byte* at, std::uint32_t v) { detail::wire_store_
 /// Little-endian write of a 64-bit word at a raw position.
 inline void wire_write_u64(std::byte* at, std::uint64_t v) { detail::wire_store_le(at, v); }
 
+/// Little-endian append of a 32-bit word: one grow, one store.
+inline void wire_put_u32(std::vector<std::byte>& out, std::uint32_t v) {
+  const std::size_t at = out.size();
+  out.resize(at + 4);
+  detail::wire_store_le(out.data() + at, v);
+}
+
 /// Pool and traffic statistics of a WireArena. Pool counters describe
 /// buffer recycling; traffic counters describe what crossed the wire;
 /// run counters mirror data_array's LayoutStats so the payload path

@@ -4,7 +4,7 @@
 #include <limits>
 #include <sstream>
 
-#include "core/integrity.hpp"
+#include "core/wire_buffer.hpp"
 #include "runtime/watchdog.hpp"
 #include "util/crc32.hpp"
 
@@ -308,6 +308,11 @@ namespace detail {
 void throw_journal_cancelled(int phase, int step) {
   throw ExchangeCancelledError("journaled exchange cancelled between flush and commit (phase " +
                                std::to_string(phase) + ", step " + std::to_string(step) + ")");
+}
+
+void throw_direct_delta_cancelled(Rank origin, Rank num_nodes) {
+  throw ExchangeCancelledError("journaled direct delta cancelled after origin " +
+                               std::to_string(origin) + " of " + std::to_string(num_nodes));
 }
 
 void require_journal_matches(const SuhShinAape& algo, const ExchangeJournal& journal) {

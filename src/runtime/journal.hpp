@@ -245,6 +245,9 @@ struct JournalRunOptions {
 namespace detail {
 
 void throw_journal_cancelled(int phase, int step);
+/// The direct delta's cancel: it has no steps, so it names the last
+/// origin whose deliveries were flushed.
+void throw_direct_delta_cancelled(Rank origin, Rank num_nodes);
 
 /// Resuming a journal that already covers the whole exchange: nothing
 /// crosses the wire; rebuild the delivered buffers from the seed.
@@ -271,6 +274,27 @@ inline void journal_flush(ExchangeJournal& journal, const JournalRunOptions& opt
 
 /// Requires `journal` bound and matching the schedule's geometry.
 void require_journal_matches(const SuhShinAape& algo, const ExchangeJournal& journal);
+
+/// The prologue both journaled runs share: requires the canonical seed,
+/// binds an unbound journal to the schedule (a bound one must match
+/// it), and starts `report` from the journal's durable progress.
+/// Returns the run's recorder: options.obs when enabled, else null.
+template <typename T>
+Recorder* open_journaled_run(const SuhShinAape& algo, const ParcelBuffers<T>& buffers,
+                             ExchangeJournal& journal, const JournalRunOptions& options,
+                             ResumeReport& report) {
+  require_canonical_parcel_seed(algo.shape().num_nodes(), buffers);
+  if (!journal.bound()) {
+    journal = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
+  }
+  require_journal_matches(algo, journal);
+  report = ResumeReport{};
+  report.resumed = !journal.fresh();
+  report.committed_steps_at_start = journal.committed_steps();
+  report.committed_phase_at_start = journal.committed_phase();
+  report.delivered_at_start = journal.delivered_parcels();
+  return options.obs != nullptr && options.obs->enabled() ? options.obs : nullptr;
+}
 
 /// The write-ahead tail of one live step, shared by
 /// exchange_payloads_journaled and SessionExchange. Node p's arrivals
@@ -329,21 +353,9 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuff
                                              const JournalRunOptions& options,
                                              ResumeReport& report) {
   const Rank N = algo.shape().num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers);
-  if (!journal.bound()) {
-    journal = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
-  }
-  detail::require_journal_matches(algo, journal);
-
-  Recorder* obs = options.obs;
-  if (obs != nullptr && !obs->enabled()) obs = nullptr;
+  Recorder* obs = detail::open_journaled_run(algo, buffers, journal, options, report);
   SpanGuard run_span(obs, "journaled_exchange");
 
-  report = ResumeReport{};
-  report.resumed = !journal.fresh();
-  report.committed_steps_at_start = journal.committed_steps();
-  report.committed_phase_at_start = journal.committed_phase();
-  report.delivered_at_start = journal.delivered_parcels();
   constexpr bool framed = std::is_trivially_copyable_v<Parcel<T>>;
   WireArena local_arena;
   WireArena& arena = options.wire != nullptr ? *options.wire : local_arena;
@@ -471,21 +483,8 @@ ParcelBuffers<T> exchange_payloads_direct_journaled(const SuhShinAape& algo,
                                                     const JournalRunOptions& options,
                                                     ResumeReport& report) {
   const Rank N = algo.shape().num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers);
-  if (!journal.bound()) {
-    journal = ExchangeJournal(algo.shape(), algo.num_phases(), algo.total_steps());
-  }
-  detail::require_journal_matches(algo, journal);
-
-  Recorder* obs = options.obs;
-  if (obs != nullptr && !obs->enabled()) obs = nullptr;
+  Recorder* obs = detail::open_journaled_run(algo, buffers, journal, options, report);
   SpanGuard run_span(obs, "journaled_direct_delta");
-
-  report = ResumeReport{};
-  report.resumed = !journal.fresh();
-  report.committed_steps_at_start = journal.committed_steps();
-  report.committed_phase_at_start = journal.committed_phase();
-  report.delivered_at_start = journal.delivered_parcels();
 
   if (journal.exchange_complete()) {
     return detail::rebuild_complete(N, std::move(buffers), report);
@@ -517,7 +516,7 @@ ParcelBuffers<T> exchange_payloads_direct_journaled(const SuhShinAape& algo,
       detail::journal_flush(journal, options, report);
     }
     if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
-      detail::throw_journal_cancelled(0, static_cast<int>(origin));
+      detail::throw_direct_delta_cancelled(origin, N);
     }
   }
   while (journal.committed_steps() < journal.total_steps()) {

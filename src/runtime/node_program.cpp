@@ -1,10 +1,8 @@
 #include "runtime/node_program.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
-#include "core/exchange_engine.hpp"
 #include "util/assert.hpp"
 
 namespace torex {
@@ -90,97 +88,6 @@ std::vector<Block> NodeProgram::collect_outgoing(std::size_t flat_step, Rank& pa
 
 void NodeProgram::integrate(std::vector<Block> message) {
   buffer_.insert(buffer_.end(), message.begin(), message.end());
-}
-
-StepSynchronousRuntime::StepSynchronousRuntime(const SuhShinAape& algo, StepSyncOptions options)
-    : shape_(algo.shape()),
-      options_(std::move(options)),
-      total_steps_(static_cast<std::size_t>(algo.total_steps())) {
-  programs_.reserve(static_cast<std::size_t>(shape_.num_nodes()));
-  for (Rank node = 0; node < shape_.num_nodes(); ++node) {
-    programs_.emplace_back(extract_local_schedule(algo, node));
-  }
-}
-
-ExchangeTrace StepSynchronousRuntime::run_verified() {
-  const Rank N = shape_.num_nodes();
-  for (auto& program : programs_) program.seed_canonical();
-
-  // Single-writer mailboxes: the one-port property guarantees at most
-  // one message per destination per step.
-  std::vector<std::vector<Block>> mailbox(static_cast<std::size_t>(N));
-  std::vector<Rank> mailbox_writer(static_cast<std::size_t>(N), -1);
-
-  ExchangeTrace trace;
-  trace.rearrangement_passes = shape_.num_dims() + 1;
-  trace.blocks_per_rearrangement = N;
-
-  // Reconstruct the (phase, step) labels from any one program's local
-  // phase table (it is identical across nodes).
-  const auto& phases = programs_.front().schedule().phases;
-  Recorder* obs =
-      options_.obs != nullptr && options_.obs->enabled() ? options_.obs : nullptr;
-  std::size_t flat = 0;
-  for (std::size_t phase_index = 0; phase_index < phases.size(); ++phase_index) {
-    SpanGuard phase_span(obs, "phase", -1, static_cast<std::int32_t>(phase_index) + 1);
-    for (int step = 1; step <= phases[phase_index].steps; ++step, ++flat) {
-      StepRecord record;
-      record.phase = static_cast<int>(phase_index) + 1;
-      record.step = step;
-      record.hops = phases[phase_index].hops;
-      SpanGuard step_span(obs, "step", -1, record.phase, record.step);
-      const auto superstep_start = std::chrono::steady_clock::now();
-      for (Rank p = 0; p < N; ++p) {
-        if (options_.cancel != nullptr && options_.cancel->load()) {
-          throw ExchangeCancelledError("step-synchronous runtime cancelled by caller");
-        }
-        if (options_.suspect_probe) {
-          if (const auto suspect = options_.suspect_probe()) {
-            if (obs != nullptr) {
-              obs->begin("fd.suspect", *suspect);
-              obs->end("fd.suspect", *suspect);
-              obs->metrics().counter("fd.suspects").add();
-            }
-            throw CrashSuspectedError(record.phase, record.step, *suspect);
-          }
-        }
-        if (options_.before_send_hook) options_.before_send_hook(record.phase, record.step, p);
-        if (options_.stall_deadline.count() > 0 &&
-            std::chrono::steady_clock::now() - superstep_start >= options_.stall_deadline) {
-          if (obs != nullptr) obs->instant("stall_deadline", p, record.phase, record.step);
-          throw RuntimeStallError(record.phase, record.step, p, options_.stall_deadline,
-                                  "superstep overran its deadline");
-        }
-        SpanGuard node_span(obs, "node_step", p, record.phase, record.step);
-        Rank partner = -1;
-        std::vector<Block> message =
-            programs_[static_cast<std::size_t>(p)].collect_outgoing(flat, partner);
-        if (message.empty()) continue;
-        TOREX_CHECK(mailbox_writer[static_cast<std::size_t>(partner)] == -1,
-                    "one-port violation in node-local runtime");
-        mailbox_writer[static_cast<std::size_t>(partner)] = p;
-        record.max_blocks_per_node =
-            std::max(record.max_blocks_per_node, static_cast<std::int64_t>(message.size()));
-        record.total_blocks += static_cast<std::int64_t>(message.size());
-        mailbox[static_cast<std::size_t>(partner)] = std::move(message);
-      }
-      for (Rank p = 0; p < N; ++p) {
-        if (mailbox_writer[static_cast<std::size_t>(p)] == -1) continue;
-        programs_[static_cast<std::size_t>(p)].integrate(
-            std::move(mailbox[static_cast<std::size_t>(p)]));
-        mailbox[static_cast<std::size_t>(p)].clear();
-        mailbox_writer[static_cast<std::size_t>(p)] = -1;
-      }
-      trace.steps.push_back(std::move(record));
-    }
-  }
-  TOREX_CHECK(flat == total_steps_, "step count mismatch");
-
-  std::vector<std::vector<Block>> final_state;
-  final_state.reserve(static_cast<std::size_t>(N));
-  for (const auto& program : programs_) final_state.push_back(program.buffer());
-  verify_aape_postcondition(shape_, final_state);
-  return trace;
 }
 
 }  // namespace torex

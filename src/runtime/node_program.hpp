@@ -15,25 +15,19 @@
 //   * `NodeProgram` evaluates the forwarding predicate for a block
 //     using nothing but the LocalSchedule and mod-4 arithmetic on the
 //     block's destination coordinates.
-//   * `StepSynchronousRuntime` runs N such programs in lockstep with
-//     single-writer mailboxes (sound because of the one-port property)
-//     and never consults the global schedule object.
 //
-// Tests pin the runtime's results against the omniscient engine.
+// A port runs N such programs in lockstep, one message per node per
+// step into single-writer mailboxes (sound because of the one-port
+// property); the lockstep harness itself is what the port's runtime
+// (MPI, say) supplies. Tests drive N programs through such a loop and
+// pin their per-step traffic against the omniscient engine.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <cstdint>
-#include <functional>
-#include <optional>
+#include <cstddef>
 #include <vector>
 
 #include "core/aape.hpp"
 #include "core/block.hpp"
-#include "core/trace.hpp"
-#include "obs/recorder.hpp"
-#include "runtime/watchdog.hpp"
 
 namespace torex {
 
@@ -94,54 +88,6 @@ class NodeProgram {
 
   LocalSchedule schedule_;
   std::vector<Block> buffer_;
-};
-
-/// Liveness/cancellation options for the lockstep executor.
-struct StepSyncOptions {
-  /// Maximum wall time one superstep may take before the run aborts
-  /// with RuntimeStallError naming the node being processed when the
-  /// deadline passed. Checked cooperatively between nodes (a node that
-  /// never returns is the ctest TIMEOUT backstop's job). 0 disables.
-  std::chrono::milliseconds stall_deadline{30000};
-
-  /// Cooperative cancellation: when non-null and set, the run aborts
-  /// with ExchangeCancelledError at the next node boundary.
-  const std::atomic<bool>* cancel = nullptr;
-
-  /// Fault-injection seam for tests: invoked before each node's
-  /// collect_outgoing.
-  std::function<void(int phase, int step, Rank node)> before_send_hook;
-
-  /// Failure-detector probe, polled at node boundaries alongside the
-  /// cancel flag: returning a rank aborts the run with
-  /// CrashSuspectedError before the stall deadline fires. Null
-  /// disables.
-  std::function<std::optional<Rank>()> suspect_probe;
-
-  /// Optional telemetry sink: per-node step spans (pid = node in the
-  /// exported trace) plus step/blocks counters.
-  Recorder* obs = nullptr;
-};
-
-/// Lockstep executor over N node programs with single-writer mailboxes.
-class StepSynchronousRuntime {
- public:
-  /// Builds one program per node by extracting local schedules.
-  explicit StepSynchronousRuntime(const SuhShinAape& algo, StepSyncOptions options = {});
-
-  /// Runs the whole schedule from the canonical workload, verifies the
-  /// AAPE postcondition, and returns the traffic trace. Throws
-  /// RuntimeStallError when a superstep overruns the stall deadline and
-  /// ExchangeCancelledError on external cancellation.
-  ExchangeTrace run_verified();
-
-  const std::vector<NodeProgram>& programs() const { return programs_; }
-
- private:
-  TorusShape shape_;
-  StepSyncOptions options_;
-  std::vector<NodeProgram> programs_;
-  std::size_t total_steps_ = 0;
 };
 
 }  // namespace torex

@@ -376,33 +376,9 @@ ExchangeTrace ParallelExchange::run_verified() {
   if (!completed && st->external_tripped.load(std::memory_order_relaxed)) {
     throw ExchangeCancelledError("parallel exchange cancelled by caller");
   }
-  if (!completed && suspected) {
-    // Attribute the abort to the slowest worker's superstep, same as a
-    // stall would be.
-    std::int64_t slow_step = st->thread_step[0].load(std::memory_order_relaxed);
-    for (std::size_t tid = 1; tid < static_cast<std::size_t>(T); ++tid) {
-      slow_step = std::min(slow_step, st->thread_step[tid].load(std::memory_order_relaxed));
-    }
-    const std::size_t stuck = std::min(static_cast<std::size_t>(slow_step), steps.size() - 1);
-    throw CrashSuspectedError(steps[stuck].phase, steps[stuck].step, *suspected);
-  }
-  if (!completed && deadlined) {
-    // Attribute the abort to the slowest worker's superstep, same as a
-    // stall would be.
-    std::int64_t slow_step = st->thread_step[0].load(std::memory_order_relaxed);
-    for (std::size_t tid = 1; tid < static_cast<std::size_t>(T); ++tid) {
-      slow_step = std::min(slow_step, st->thread_step[tid].load(std::memory_order_relaxed));
-    }
-    const std::size_t stuck = std::min(static_cast<std::size_t>(slow_step), steps.size() - 1);
-    const int unfinished = T - st->finished.load(std::memory_order_relaxed);
-    std::ostringstream detail;
-    detail << "run budget spent before completion";
-    if (unfinished > 0) detail << ", " << unfinished << " worker(s) detached";
-    throw DeadlineExceededError(steps[stuck].phase, steps[stuck].step, run_budget, detail.str());
-  }
-  if (!completed && stalled) {
-    // Attribute the stall: the slowest worker's superstep and the node
-    // it was processing when progress stopped.
+  if (!completed && (suspected || deadlined || stalled)) {
+    // Attribute the abort to the slowest worker's superstep and the node
+    // it was processing when the run stopped.
     std::size_t slow_tid = 0;
     std::int64_t slow_step = st->thread_step[0].load(std::memory_order_relaxed);
     for (std::size_t tid = 1; tid < static_cast<std::size_t>(T); ++tid) {
@@ -412,15 +388,19 @@ ExchangeTrace ParallelExchange::run_verified() {
         slow_tid = tid;
       }
     }
-    const std::size_t stuck =
-        std::min(static_cast<std::size_t>(slow_step), steps.size() - 1);
-    const Rank node = st->thread_node[slow_tid].load(std::memory_order_relaxed);
+    const StepId stuck = steps[std::min(static_cast<std::size_t>(slow_step), steps.size() - 1)];
     const int unfinished = T - st->finished.load(std::memory_order_relaxed);
+    if (suspected) throw CrashSuspectedError(stuck.phase, stuck.step, *suspected);
     std::ostringstream detail;
+    if (deadlined) {
+      detail << "run budget spent before completion";
+      if (unfinished > 0) detail << ", " << unfinished << " worker(s) detached";
+      throw DeadlineExceededError(stuck.phase, stuck.step, run_budget, detail.str());
+    }
+    const Rank node = st->thread_node[slow_tid].load(std::memory_order_relaxed);
     detail << "worker " << slow_tid << " of " << T;
     if (unfinished > 0) detail << ", " << unfinished << " worker(s) detached";
-    throw RuntimeStallError(steps[stuck].phase, steps[stuck].step, node, deadline,
-                            detail.str());
+    throw RuntimeStallError(stuck.phase, stuck.step, node, deadline, detail.str());
   }
 
   TOREX_CHECK(!st->one_port_broken.load(), "one-port violation detected by the parallel runtime");
@@ -455,18 +435,7 @@ ExchangeTrace ParallelExchange::run_verified() {
 
   buffers_ = std::move(st->buffers);
 
-  // Postcondition: the AAPE permutation.
-  std::vector<char> seen(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    const auto& buf = buffers_[static_cast<std::size_t>(p)];
-    TOREX_CHECK(static_cast<Rank>(buf.size()) == N, "wrong final block count");
-    std::fill(seen.begin(), seen.end(), 0);
-    for (const Block& b : buf) {
-      TOREX_CHECK(b.dest == p, "misdelivered block");
-      TOREX_CHECK(!seen[static_cast<std::size_t>(b.origin)], "duplicate origin");
-      seen[static_cast<std::size_t>(b.origin)] = 1;
-    }
-  }
+  verify_aape_postcondition(shape, buffers_);
   return trace;
 }
 

@@ -51,8 +51,7 @@ struct ParallelOptions {
   /// Absolute whole-run budget: a run still incomplete this long after
   /// it started is cancelled and aborted with DeadlineExceededError —
   /// even while workers keep making (too slow) progress, which the
-  /// relative stall deadline above would never catch. 0 disables. The
-  /// service layer uses this to bound a session's engine time.
+  /// relative stall deadline above would never catch. 0 disables.
   std::chrono::milliseconds run_deadline{0};
 
   /// Cooperative cancellation: when non-null and set to true, workers

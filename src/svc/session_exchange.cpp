@@ -209,7 +209,9 @@ void SessionExchange::take_result_into(const std::vector<StridedView<Word>>& rec
   detail::check_parcel_postcondition(N, buffers_);
   TOREX_CHECK(journal_.exchange_complete(), "session journal incomplete after a finished exchange");
   scatter_parcels_strided(N, buffers_, recv);
-  for (auto& buf : buffers_) buf.clear();
+  // The session lives on in its manager slot to serve journal(); keep
+  // none of its parcel storage.
+  buffers_ = {};
 }
 
 }  // namespace torex

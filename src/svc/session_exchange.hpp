@@ -120,7 +120,7 @@ class SessionExchange {
 
   /// Strided-view result: scatters delivered parcels straight into the
   /// caller's buffers (recv[q].at(p) = send[p].at(q)); requires
-  /// complete(). Consumes the buffers.
+  /// complete(). Consumes the buffers and releases their storage.
   void take_result_into(const std::vector<StridedView<std::int64_t>>& recv);
 
  private:

@@ -52,7 +52,14 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
 TEST(WireTest, RoundTrip) {
   std::vector<std::byte> wire;
   wire_put_u32(wire, 0xDEADBEEFu);
-  wire_put_u64(wire, 0x0123456789ABCDEFull);
+  wire.resize(wire.size() + 8);
+  wire_write_u64(wire.data() + 4, 0x0123456789ABCDEFull);
+  // Little-endian on the wire, whatever the host's byte order.
+  ASSERT_EQ(wire.size(), 12u);
+  EXPECT_EQ(wire[0], std::byte{0xEF});
+  EXPECT_EQ(wire[3], std::byte{0xDE});
+  EXPECT_EQ(wire[4], std::byte{0xEF});
+  EXPECT_EQ(wire[11], std::byte{0x01});
   std::size_t offset = 0;
   std::uint32_t a = 0;
   std::uint64_t b = 0;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/aape.hpp"
@@ -403,9 +404,17 @@ TEST(ResumeTest, DirectDeltaJournalResumesOnTheSchedule) {
     if (++flushes == 8) cancel.store(true);  // half the origins delivered
   };
   ResumeReport report;
-  EXPECT_THROW(exchange_payloads_direct_journaled(algo, std::move(parcels), journal, options,
-                                                  report),
-               ExchangeCancelledError);
+  try {
+    exchange_payloads_direct_journaled(algo, std::move(parcels), journal, options, report);
+    FAIL() << "the cancel must abort the direct delta";
+  } catch (const ExchangeCancelledError& e) {
+    // The direct delta has no steps: the diagnostic names the origin
+    // whose flush tripped the cancel, never a rank labelled as a step.
+    const std::string what = e.what();
+    EXPECT_NE(what.find("direct delta"), std::string::npos) << what;
+    EXPECT_NE(what.find("origin 7 of 16"), std::string::npos) << what;
+    EXPECT_EQ(what.find("step"), std::string::npos) << what;
+  }
   EXPECT_GT(journal.delivered_parcels(), 16);  // more than the self diagonal
   EXPECT_FALSE(journal.exchange_complete());
   EXPECT_EQ(journal.committed_steps(), 0);  // direct mode commits only at the end

@@ -1,7 +1,12 @@
-// Tests for the node-local runtime: local schedules are constant-size,
+// Tests for node-local execution: local schedules are constant-size,
 // the programs' decisions match the omniscient oracle block for block,
-// and the lockstep runtime reproduces the engine's results exactly.
+// and N programs driven in lockstep reproduce the engine's traffic
+// exactly.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "core/exchange_engine.hpp"
 #include "runtime/node_program.hpp"
@@ -40,23 +45,34 @@ TEST(LocalScheduleTest, ConfigurationIsConstantSizePerNode) {
 }
 
 TEST(NodeProgramTest, LocalPredicateMatchesOracleEverywhere) {
-  const SuhShinAape algo(TorusShape::make_2d(8, 8));
-  const Rank N = algo.shape().num_nodes();
-  for (Rank node = 0; node < N; node += 5) {
-    NodeProgram program(extract_local_schedule(algo, node));
-    program.seed_canonical();
-    // Compare the program's first-step send set with the oracle's.
-    std::vector<Block> expected;
-    for (Rank d = 0; d < N; ++d) {
-      const Block b{node, d};
-      if (algo.should_send(node, 1, 1, b)) expected.push_back(b);
+  // Every node, every flat step, every destination: the program's send
+  // set and partner, computed from its LocalSchedule alone, equal the
+  // global schedule's send_test and partner.
+  for (const TorusShape& shape : {TorusShape({8, 8}), TorusShape({12, 8}),
+                                  TorusShape({8, 8, 4}), TorusShape({8, 4, 4, 4})}) {
+    const SuhShinAape algo(shape);
+    const Rank N = shape.num_nodes();
+    for (Rank node = 0; node < N; ++node) {
+      NodeProgram program(extract_local_schedule(algo, node));
+      std::size_t flat = 0;
+      for (int phase = 1; phase <= algo.num_phases(); ++phase) {
+        for (int step = 1; step <= algo.steps_in_phase(phase); ++step, ++flat) {
+          const SuhShinAape::SendTest sends = algo.send_test(node, phase, step);
+          std::vector<Block> expected;
+          for (Rank d = 0; d < N; ++d) {
+            if (sends(Block{node, d})) expected.push_back(Block{node, d});
+          }
+          program.seed_canonical();
+          Rank partner = -1;
+          std::vector<Block> got = program.collect_outgoing(flat, partner);
+          ASSERT_EQ(partner, algo.partner(node, phase, step))
+              << shape.to_string() << " node " << node << " flat step " << flat;
+          std::sort(got.begin(), got.end());
+          ASSERT_EQ(got, expected)
+              << shape.to_string() << " node " << node << " flat step " << flat;
+        }
+      }
     }
-    Rank partner = -1;
-    std::vector<Block> got = program.collect_outgoing(0, partner);
-    EXPECT_EQ(partner, algo.partner(node, 1, 1));
-    std::sort(expected.begin(), expected.end());
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, expected) << "node " << node;
   }
 }
 
@@ -73,16 +89,43 @@ TEST_P(NodeRuntimeTest, LockstepRuntimeMatchesEngine) {
   ExchangeEngine engine(algo, opts);
   const ExchangeTrace reference = engine.run_verified();
 
-  StepSynchronousRuntime runtime(algo);
-  const ExchangeTrace local = runtime.run_verified();
-
-  ASSERT_EQ(local.steps.size(), reference.steps.size());
-  for (std::size_t i = 0; i < reference.steps.size(); ++i) {
-    EXPECT_EQ(local.steps[i].phase, reference.steps[i].phase);
-    EXPECT_EQ(local.steps[i].step, reference.steps[i].step);
-    EXPECT_EQ(local.steps[i].max_blocks_per_node, reference.steps[i].max_blocks_per_node);
-    EXPECT_EQ(local.steps[i].total_blocks, reference.steps[i].total_blocks);
+  // The lockstep harness a port's runtime supplies: every node sends
+  // from its own program, each message lands in its partner's
+  // single-writer mailbox, and delivery follows once all nodes sent.
+  const auto N = static_cast<std::size_t>(algo.shape().num_nodes());
+  std::vector<NodeProgram> programs;
+  for (std::size_t p = 0; p < N; ++p) {
+    programs.emplace_back(extract_local_schedule(algo, static_cast<Rank>(p)));
+    programs.back().seed_canonical();
   }
+  ASSERT_EQ(programs.front().schedule().plan.size(), reference.steps.size());
+  std::vector<std::vector<Block>> mailbox(N);
+  std::vector<Rank> writer(N);
+  for (std::size_t flat = 0; flat < reference.steps.size(); ++flat) {
+    std::fill(writer.begin(), writer.end(), -1);
+    std::int64_t total = 0;
+    std::int64_t max = 0;
+    for (std::size_t p = 0; p < N; ++p) {
+      Rank partner = -1;
+      std::vector<Block> message = programs[p].collect_outgoing(flat, partner);
+      if (message.empty()) continue;
+      const auto q = static_cast<std::size_t>(partner);
+      ASSERT_EQ(writer[q], -1) << "one-port violation at flat step " << flat;
+      writer[q] = static_cast<Rank>(p);
+      total += static_cast<std::int64_t>(message.size());
+      max = std::max(max, static_cast<std::int64_t>(message.size()));
+      mailbox[q] = std::move(message);
+    }
+    for (std::size_t p = 0; p < N; ++p) {
+      if (writer[p] != -1) programs[p].integrate(std::move(mailbox[p]));
+    }
+    EXPECT_EQ(total, reference.steps[flat].total_blocks) << "flat step " << flat;
+    EXPECT_EQ(max, reference.steps[flat].max_blocks_per_node) << "flat step " << flat;
+  }
+
+  std::vector<std::vector<Block>> final_state;
+  for (const NodeProgram& program : programs) final_state.push_back(program.buffer());
+  EXPECT_NO_THROW(verify_aape_postcondition(algo.shape(), final_state));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, NodeRuntimeTest,

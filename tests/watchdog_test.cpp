@@ -14,7 +14,6 @@
 
 #include "core/exchange_engine.hpp"
 #include "runtime/communicator.hpp"
-#include "runtime/node_program.hpp"
 #include "runtime/parallel_engine.hpp"
 #include "runtime/watchdog.hpp"
 #include "sim/fault_model.hpp"
@@ -131,45 +130,9 @@ TEST(ParallelWatchdogTest, ExternalCancellationUnwinds) {
   EXPECT_THROW(parallel.run_verified(), ExchangeCancelledError);
 }
 
-// --- StepSynchronousRuntime --------------------------------------------
+// --- The watchdog's errors --------------------------------------------
 
-TEST(StepSyncWatchdogTest, OverrunSuperstepBecomesRuntimeStallError) {
-  const SuhShinAape algo(TorusShape({4, 4}));
-  StepSyncOptions options;
-  options.stall_deadline = 50ms;
-  options.before_send_hook = [](int phase, int step, Rank node) {
-    if (phase == 3 && step == 1 && node == 2) std::this_thread::sleep_for(100ms);
-  };
-  StepSynchronousRuntime runtime(algo, options);
-  try {
-    runtime.run_verified();
-    FAIL() << "overrun superstep must raise RuntimeStallError";
-  } catch (const RuntimeStallError& e) {
-    EXPECT_EQ(e.phase(), 3);
-    EXPECT_EQ(e.step(), 1);
-  }
-}
-
-TEST(StepSyncWatchdogTest, CancellationUnwinds) {
-  const SuhShinAape algo(TorusShape({4, 4}));
-  std::atomic<bool> cancel{false};
-  StepSyncOptions options;
-  options.cancel = &cancel;
-  options.before_send_hook = [&](int phase, int, Rank) {
-    if (phase == 4) cancel.store(true);
-  };
-  StepSynchronousRuntime runtime(algo, options);
-  EXPECT_THROW(runtime.run_verified(), ExchangeCancelledError);
-}
-
-TEST(StepSyncWatchdogTest, DefaultOptionsStillVerify) {
-  const SuhShinAape algo(TorusShape({4, 4}));
-  StepSynchronousRuntime runtime(algo);
-  const ExchangeTrace trace = runtime.run_verified();
-  EXPECT_EQ(static_cast<std::int64_t>(trace.steps.size()), algo.total_steps());
-}
-
-TEST(StepSyncWatchdogTest, StallErrorCarriesContext) {
+TEST(WatchdogErrorTest, StallErrorCarriesContext) {
   const RuntimeStallError e(3, 2, Rank{7}, 250ms, "test detail");
   EXPECT_EQ(e.phase(), 3);
   EXPECT_EQ(e.step(), 2);
@@ -266,27 +229,6 @@ TEST(ParallelWatchdogTest, SuspectProbeAbortsBeforeStallDeadline) {
   }
   EXPECT_LT(std::chrono::steady_clock::now() - start, 10s)
       << "proactive abort must beat the stall deadline";
-}
-
-TEST(StepSyncWatchdogTest, SuspectProbeAbortsBeforeStallDeadline) {
-  const SuhShinAape algo(TorusShape({4, 4}));
-  StepSyncOptions options;
-  options.stall_deadline = 30s;
-  std::atomic<int> visits{0};
-  options.suspect_probe = [&]() -> std::optional<Rank> {
-    // Trusted for the first superstep, then node 9 goes silent.
-    if (visits.load() > static_cast<int>(algo.shape().num_nodes())) return Rank{9};
-    return std::nullopt;
-  };
-  options.before_send_hook = [&](int, int, Rank) { ++visits; };
-  StepSynchronousRuntime runtime(algo, options);
-  try {
-    runtime.run_verified();
-    FAIL() << "suspected node must abort the run";
-  } catch (const CrashSuspectedError& e) {
-    EXPECT_EQ(e.suspect(), 9);
-    EXPECT_GE(e.phase(), 3);  // the 4x4 schedule's first active phase
-  }
 }
 
 // --- Absolute run deadline ---------------------------------------------
