@@ -138,6 +138,21 @@ TEST(CustomWorkloadTest, RejectsForeignOrigins) {
   EXPECT_THROW(engine.run_custom(std::move(initial)), std::invalid_argument);
 }
 
+TEST(CustomWorkloadTest, RejectsMisshapedWorkloads) {
+  const SuhShinAape algo(TorusShape::make_2d(4, 4));
+  ExchangeEngine engine(algo);
+  // One buffer short of the node count.
+  EXPECT_THROW(engine.run_custom(std::vector<std::vector<Block>>(15)), std::invalid_argument);
+  // A destination outside the torus, on either side.
+  for (const Rank dest : {Rank{-1}, Rank{16}}) {
+    std::vector<std::vector<Block>> initial(16);
+    initial[5].push_back(Block{5, dest});
+    EXPECT_THROW(engine.run_custom(std::move(initial)), std::invalid_argument) << dest;
+  }
+  // A rejected workload leaves the engine usable.
+  EXPECT_NO_THROW(engine.run_verified());
+}
+
 // ---------------------------------------------------------------------------
 // Communicator facade.
 // ---------------------------------------------------------------------------

@@ -175,6 +175,46 @@ TEST(EngineTest, RecordTransfersOffStillCountsBlocks) {
   EXPECT_GT(total, 0);
 }
 
+TEST(EngineTest, RunCustomOfTheCanonicalSeedMatchesRun) {
+  // run() and run_custom() drive one phase/step loop: handed the
+  // canonical seed, run_custom must produce run()'s trace, transfer for
+  // transfer, and the same final buffers.
+  for (const auto& extents :
+       std::vector<std::vector<std::int32_t>>{{12, 8}, {8, 8, 4}}) {
+    const SuhShinAape algo((TorusShape(extents)));
+    const Rank N = algo.shape().num_nodes();
+    ExchangeEngine plain(algo);
+    const ExchangeTrace want = plain.run_verified();
+
+    std::vector<std::vector<Block>> initial(static_cast<std::size_t>(N));
+    for (Rank p = 0; p < N; ++p) {
+      for (Rank d = 0; d < N; ++d) initial[static_cast<std::size_t>(p)].push_back(Block{p, d});
+    }
+    ExchangeEngine custom(algo);
+    const ExchangeTrace got = custom.run_custom(std::move(initial));
+
+    EXPECT_EQ(got.rearrangement_passes, want.rearrangement_passes);
+    EXPECT_EQ(got.blocks_per_rearrangement, want.blocks_per_rearrangement);
+    ASSERT_EQ(got.steps.size(), want.steps.size());
+    for (std::size_t i = 0; i < want.steps.size(); ++i) {
+      const StepRecord& a = got.steps[i];
+      const StepRecord& b = want.steps[i];
+      EXPECT_EQ(a.phase, b.phase) << "step " << i;
+      EXPECT_EQ(a.step, b.step) << "step " << i;
+      EXPECT_EQ(a.hops, b.hops) << "step " << i;
+      EXPECT_EQ(a.max_blocks_per_node, b.max_blocks_per_node) << "step " << i;
+      EXPECT_EQ(a.total_blocks, b.total_blocks) << "step " << i;
+      ASSERT_EQ(a.transfers.size(), b.transfers.size()) << "step " << i;
+      for (std::size_t t = 0; t < b.transfers.size(); ++t) {
+        EXPECT_EQ(a.transfers[t].src, b.transfers[t].src) << "step " << i;
+        EXPECT_EQ(a.transfers[t].dst, b.transfers[t].dst) << "step " << i;
+        EXPECT_EQ(a.transfers[t].blocks, b.transfers[t].blocks) << "step " << i;
+      }
+    }
+    EXPECT_EQ(custom.buffers(), plain.buffers());
+  }
+}
+
 TEST(EngineTest, IdleNodesInNonSquareTorusSendNothingLate) {
   // In a 12x8 torus the phase-1 rings along the short dimension have
   // R/4 = 2 nodes, so their members are done after step 1 and must not

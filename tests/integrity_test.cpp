@@ -5,6 +5,7 @@
 // wire_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -71,6 +72,32 @@ TEST(WireTest, RoundTrip) {
   // Reads past the end must fail without advancing.
   EXPECT_FALSE(wire_get_u32(wire, offset, a));
   EXPECT_EQ(offset, wire.size());
+}
+
+TEST(WireTest, PutU32AppendsAfterExistingBytes) {
+  // wire_put_u32 appends: earlier bytes stay put, the word lands
+  // exactly where wire_write_u32 would patch it, and the reader finds
+  // it at that offset and no further.
+  std::vector<std::byte> wire{std::byte{0xA1}, std::byte{0xB2}, std::byte{0xC3}};
+  wire_put_u32(wire, 0x11223344u);
+  ASSERT_EQ(wire.size(), 7u);
+  EXPECT_EQ(wire[0], std::byte{0xA1});
+  EXPECT_EQ(wire[1], std::byte{0xB2});
+  EXPECT_EQ(wire[2], std::byte{0xC3});
+  std::vector<std::byte> patched(7, std::byte{0});
+  wire_write_u32(patched.data() + 3, 0x11223344u);
+  EXPECT_TRUE(std::equal(wire.begin() + 3, wire.end(), patched.begin() + 3));
+  EXPECT_EQ(wire[3], std::byte{0x44});
+  EXPECT_EQ(wire[6], std::byte{0x11});
+
+  std::size_t offset = 3;
+  std::uint32_t v = 0;
+  ASSERT_TRUE(wire_get_u32(wire, offset, v));
+  EXPECT_EQ(v, 0x11223344u);
+  EXPECT_EQ(offset, wire.size());
+  offset = 4;
+  EXPECT_FALSE(wire_get_u32(wire, offset, v)) << "a short read must fail";
+  EXPECT_EQ(offset, 4u);
 }
 
 // --- Corruption model --------------------------------------------------

@@ -432,6 +432,50 @@ TEST(ResumeTest, DirectDeltaJournalResumesOnTheSchedule) {
   EXPECT_TRUE(loaded.exchange_complete());
 }
 
+TEST(ResumeTest, DirectDeltaBindsAndChecksItsJournal) {
+  // The direct delta opens its run through the same prologue as the
+  // scheduled one: an unbound journal is bound to the schedule, a
+  // foreign one is refused, and so is a seed that is not canonical.
+  const TorusShape shape({4, 4});
+  const SuhShinAape algo(shape);
+  const Rank n = shape.num_nodes();
+  const auto seed = [&] {
+    ParcelBuffers<std::int64_t> parcels(static_cast<std::size_t>(n));
+    for (Rank p = 0; p < n; ++p) {
+      for (Rank q = 0; q < n; ++q) {
+        parcels[static_cast<std::size_t>(p)].push_back({Block{p, q}, std::int64_t{p} * n + q});
+      }
+    }
+    return parcels;
+  };
+
+  ExchangeJournal unbound;
+  ResumeReport report;
+  const auto out = exchange_payloads_direct_journaled(algo, seed(), unbound, {}, report);
+  EXPECT_TRUE(unbound.bound());
+  EXPECT_EQ(unbound.extents(), shape.extents());
+  EXPECT_TRUE(unbound.exchange_complete());
+  EXPECT_FALSE(report.resumed);
+  EXPECT_EQ(report.sent_parcels, std::int64_t{n} * (n - 1));
+  for (Rank q = 0; q < n; ++q) {
+    ASSERT_EQ(out[static_cast<std::size_t>(q)].size(), static_cast<std::size_t>(n));
+    for (const auto& parcel : out[static_cast<std::size_t>(q)]) {
+      EXPECT_EQ(parcel.block.dest, q);
+      EXPECT_EQ(parcel.payload, std::int64_t{parcel.block.origin} * n + q);
+    }
+  }
+
+  ExchangeJournal foreign(TorusShape({8, 4}), 4, 6);
+  EXPECT_THROW(exchange_payloads_direct_journaled(algo, seed(), foreign, {}, report),
+               std::invalid_argument);
+
+  auto short_seed = seed();
+  short_seed[3].pop_back();
+  ExchangeJournal fresh;
+  EXPECT_THROW(exchange_payloads_direct_journaled(algo, std::move(short_seed), fresh, {}, report),
+               std::invalid_argument);
+}
+
 // --- Option validation (construction-time rejection) -------------------
 
 TEST(ValidationTest, BackoffConfigRejectsNonsense) {

@@ -453,6 +453,28 @@ TEST(SvcResultTest, StridedSessionExchangeRoundTripsUserBuffers) {
   EXPECT_GT(arena.stats().runs_encoded, arena.stats().total_sends);
 }
 
+TEST(SvcResultTest, JournalOutlivesTheTakenResult) {
+  // Taking the result releases the session's parcel storage; the
+  // session stays in its manager slot to serve journal(), which must
+  // still read complete and survive its own wire round trip.
+  const SuhShinAape algo(kShape);
+  WireArena arena;
+  const SessionRequest request = make_request(7);
+  SessionExchange exchange(7, algo, request.send, arena, 0);
+  while (!exchange.complete()) {
+    ASSERT_EQ(exchange.run_phase(nullptr, {}), PhaseOutcome::kComplete);
+  }
+  expect_oracle(7, exchange.take_result());
+
+  const ExchangeJournal& journal = exchange.journal();
+  EXPECT_TRUE(journal.exchange_complete());
+  EXPECT_EQ(journal.delivered_parcels(), std::int64_t{kN} * kN);
+  EXPECT_EQ(journal.committed_steps(), algo.total_steps());
+  const ExchangeJournal loaded = ExchangeJournal::decode(journal.encode());
+  EXPECT_TRUE(loaded.exchange_complete());
+  EXPECT_EQ(loaded.encode(), journal.encode());
+}
+
 // --- Telemetry -----------------------------------------------------------
 
 TEST(SvcTelemetryTest, CountersAndGaugesMirrorStats) {

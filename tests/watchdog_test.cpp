@@ -130,6 +130,23 @@ TEST(ParallelWatchdogTest, ExternalCancellationUnwinds) {
   EXPECT_THROW(parallel.run_verified(), ExchangeCancelledError);
 }
 
+TEST(ParallelWatchdogTest, DefaultOptionsStillVerify) {
+  // The default watchdog (stall deadline armed, no hook, no probe)
+  // stays out of a healthy run: every step of the schedule runs, in
+  // the oracle's order, and the postcondition holds.
+  const SuhShinAape algo(TorusShape({4, 4}));
+  ParallelExchange parallel(algo);
+  const ExchangeTrace trace = parallel.run_verified();
+  ASSERT_EQ(static_cast<std::int64_t>(trace.steps.size()), algo.total_steps());
+  ExchangeEngine oracle(algo);
+  const ExchangeTrace want = oracle.run_verified();
+  for (std::size_t i = 0; i < want.steps.size(); ++i) {
+    EXPECT_EQ(trace.steps[i].phase, want.steps[i].phase) << "step " << i;
+    EXPECT_EQ(trace.steps[i].step, want.steps[i].step) << "step " << i;
+    EXPECT_EQ(trace.steps[i].total_blocks, want.steps[i].total_blocks) << "step " << i;
+  }
+}
+
 // --- The watchdog's errors --------------------------------------------
 
 TEST(WatchdogErrorTest, StallErrorCarriesContext) {
