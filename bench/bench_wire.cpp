@@ -78,13 +78,16 @@ namespace {
 using namespace torex;
 
 /// Allocations-per-step ceiling for the warm framed paths (pooled
-/// paper, sealed, strided). The steady-state wire itself allocates
-/// nothing (frames recycle through the arena); what remains is buffer
-/// growth and the phase-boundary counting-sort scratch, both O(N) per
-/// phase. The budget is deliberately
-/// a hard constant: if a change re-introduces per-message allocation,
-/// allocs-per-step jumps by ~the message count and this trips.
-constexpr double kAllocBudgetPerStep = 512.0;
+/// paper, sealed, strided). The warm wire allocates nothing per
+/// message: frames recycle through the arena and partner lookups are
+/// stride arithmetic. What remains is per exchange: the executor's
+/// stepper and counting-sort scratch, plus the seed and delivered
+/// buffers on the strided path, about 2 allocations per step on the
+/// pooled and sealed paths and 13-16 on the strided one. The budget is
+/// deliberately a hard constant below one allocation per message on
+/// both shapes (64 and 128 messages per step): a change that
+/// re-introduces per-message allocation trips it.
+constexpr double kAllocBudgetPerStep = 32.0;
 
 ParcelBuffers<std::int64_t> canonical_parcels(Rank n) {
   ParcelBuffers<std::int64_t> buffers(static_cast<std::size_t>(n));

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <span>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -117,14 +118,18 @@ namespace detail {
 
 /// Validates the canonical all-to-all seed: one buffer per node, one
 /// parcel per destination, every parcel originating at its node.
+/// Returns whether every buffer is in destination order (parcel q
+/// addressed to q), the only seed order a recorded SendPlan fits.
 template <typename T>
-void require_canonical_parcel_seed(Rank N, const ParcelBuffers<T>& buffers) {
+bool require_canonical_parcel_seed(Rank N, const ParcelBuffers<T>& buffers) {
   TOREX_REQUIRE(static_cast<Rank>(buffers.size()) == N, "need one buffer per node");
   std::vector<char> seen(static_cast<std::size_t>(N));
+  bool destination_ordered = true;
   for (Rank p = 0; p < N; ++p) {
     TOREX_REQUIRE(static_cast<Rank>(buffers[static_cast<std::size_t>(p)].size()) == N,
                   "node must start with one parcel per destination");
     std::fill(seen.begin(), seen.end(), 0);
+    Rank slot = 0;
     for (const auto& parcel : buffers[static_cast<std::size_t>(p)]) {
       TOREX_REQUIRE(parcel.block.origin == p, "parcel origin must match its node");
       TOREX_REQUIRE(parcel.block.dest >= 0 && parcel.block.dest < N,
@@ -132,8 +137,10 @@ void require_canonical_parcel_seed(Rank N, const ParcelBuffers<T>& buffers) {
       TOREX_REQUIRE(!seen[static_cast<std::size_t>(parcel.block.dest)],
                     "duplicate destination in a node's initial parcels");
       seen[static_cast<std::size_t>(parcel.block.dest)] = 1;
+      destination_ordered = destination_ordered && parcel.block.dest == slot++;
     }
   }
+  return destination_ordered;
 }
 
 /// Verifies the AAPE postcondition on delivered parcels: node p holds
@@ -274,10 +281,12 @@ constexpr std::size_t multi_run_frame_bytes(std::size_t run_count, std::size_t c
          kFrameTrailerBytes;
 }
 
-/// One send run: parcels [first, last) of a node's buffer.
+/// One send run: parcels [first, last) of a node's buffer. 32-bit, so
+/// a recorded SendPlan stores a run in 8 bytes; collect_send_runs
+/// refuses a buffer too long to index this way.
 struct RunSpan {
-  std::size_t first = 0;
-  std::size_t last = 0;
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
 };
 
 /// Scans a buffer for this step's send set without reordering it.
@@ -286,9 +295,10 @@ struct RunSpan {
 template <typename T, typename Pred>
 std::size_t collect_send_runs(const std::vector<Parcel<T>>& buf, Pred&& should_send,
                               std::vector<RunSpan>& runs) {
+  TOREX_CHECK(buf.size() <= UINT32_MAX, "parcel buffer too long for 32-bit send runs");
   runs.clear();
   std::size_t count = 0;
-  for (std::size_t i = 0; i < buf.size(); ++i) {
+  for (std::uint32_t i = 0; i < buf.size(); ++i) {
     if (should_send(buf[i])) {
       if (runs.empty() || runs.back().last != i) {
         runs.push_back(RunSpan{i, i + 1});
@@ -304,7 +314,7 @@ std::size_t collect_send_runs(const std::vector<Parcel<T>>& buf, Pred&& should_s
 /// Compacts a buffer by dropping the given runs (one stable pass) —
 /// the post-delivery counterpart of collect_send_runs.
 template <typename T>
-void erase_runs(std::vector<Parcel<T>>& buf, const std::vector<RunSpan>& runs) {
+void erase_runs(std::vector<Parcel<T>>& buf, std::span<const RunSpan> runs) {
   if (runs.empty()) return;
   std::size_t write = runs.front().first;
   for (std::size_t r = 0; r < runs.size(); ++r) {
@@ -338,7 +348,7 @@ inline void publish_wire_metrics(Recorder* obs, const WirePoolStats& d) {
 /// offsets, so the receiver's scatter reproduces the runs' order.
 template <typename T>
 void encode_multi_run_frame(const std::vector<Parcel<T>>& buf,
-                            const std::vector<detail::RunSpan>& runs, std::size_t count,
+                            std::span<const detail::RunSpan> runs, std::size_t count,
                             int phase, int step, Rank src, Rank dst,
                             std::vector<std::byte>& frame) {
   static_assert(std::is_trivially_copyable_v<Parcel<T>>,
@@ -635,24 +645,81 @@ auto dense_views(Rows& rows) {
 
 // --- The framed step kernel --------------------------------------------
 //
-// FramedStepper runs one step of every framed executor. Each node
-// scans its send set without reordering, gathers it into a leased
-// frame, lets the tamperer at it, and verifies it; a refused frame is
-// re-encoded from the intact source parcels up to the retransmit
-// budget, after which IntegrityError carries the report out. The
-// integrate half splices each verified frame where its executor fixed:
-// in the hole the receiver's own send left (kHole: sealed, pooled), or
-// at the end of the receiver's buffer (kAppend: journaled and torexd's
-// SessionExchange, whose write-ahead tail reads arrivals from there).
+// FramedStepper runs one step of every framed executor. Each node finds
+// its send set, by scanning its buffer without reordering it or by
+// replaying the runs a SendPlan recorded for that (step, node), gathers
+// it into a leased frame, lets the tamperer at it, and verifies it; a
+// refused frame is re-encoded from the intact source parcels up to the
+// retransmit budget, after which IntegrityError carries the report out.
+// Each verified frame lands where its executor fixed:
+//   kHole    (sealed, pooled) once a send verifies, the kept parcels
+//            between its first and last run shift right, so the sent
+//            slots form one hole [h, h + count); parcels after the last
+//            run never move. A canonical step brings every node exactly
+//            as many parcels as it sent (checked), and the integrate
+//            half scatters the frame's runs straight into the hole: no
+//            compaction pass, no grow, no tail shift. The buffer ends
+//            as [0, h), the arrivals, then the kept parcels.
+//   kAppend  (journaled and torexd's SessionExchange, whose write-ahead
+//            tail reads arrivals from there) the source compacts and
+//            the frame is appended to the receiver's buffer.
+//
+// The schedule is data-independent: which slots node p sends at a step
+// depends on the shape, the layout and the seed order, never on payload
+// bytes. A kHole exchange over a destination-ordered canonical seed can
+// therefore record every (flat step, node)'s runs into a SendPlan on its
+// first, scanning run; later runs over such a seed replay them instead
+// of testing every held parcel. A replayed run must lie inside its
+// buffer and its first parcel must pass the step's send test, and the
+// executors' postcondition check still runs. Resumed (kAppend) buffers
+// are not canonical, so those executors always scan.
 
 namespace detail {
+
+/// The send runs of one kHole exchange over a destination-ordered
+/// canonical seed: for every slot flat_step * N + node, the runs that
+/// node sent at that step, in buffer order, stored at exact size. A
+/// recording FramedStepper fills it once; the owner keeps it between
+/// exchanges of one schedule and layout (TorusCommunicator keeps one
+/// per wire path).
+class SendPlan {
+ public:
+  bool recorded() const { return !offsets_.empty(); }
+  /// (flat step, node) slots: total_steps * N once recorded.
+  std::size_t slots() const { return recorded() ? offsets_.size() - 1 : 0; }
+  std::size_t run_count() const { return runs_.size(); }
+  /// Heap bytes held.
+  std::size_t bytes() const {
+    return offsets_.capacity() * sizeof(std::uint32_t) + runs_.capacity() * sizeof(RunSpan);
+  }
+
+  /// The runs of one slot.
+  std::span<const RunSpan> runs(std::size_t slot) const {
+    return std::span<const RunSpan>(runs_).subspan(offsets_[slot],
+                                                   offsets_[slot + 1] - offsets_[slot]);
+  }
+
+  /// Stores `runs`, split by `offsets` (slots + 1 ascending entries,
+  /// the last one runs.size()), copying the runs to exact size.
+  void assign(std::vector<std::uint32_t> offsets, const std::vector<RunSpan>& runs) {
+    TOREX_CHECK(offsets.size() >= 2 && offsets.back() == runs.size(),
+                "send plan offsets must end at the run count");
+    offsets_ = std::move(offsets);
+    runs_.assign(runs.begin(), runs.end());
+    runs_.shrink_to_fit();
+  }
+
+ private:
+  std::vector<std::uint32_t> offsets_;  // [slot]: first run; then the run count
+  std::vector<RunSpan> runs_;
+};
 
 /// Leases an exact-size frame from `arena` into `frame`, encodes the
 /// runs of `buf` into it as a TOX3 frame, and books the send (message,
 /// runs, frame bytes, gathered payload bytes) in the arena's stats.
 template <typename T>
 void encode_send_frame(WireArena& arena, PooledFrame& frame, const std::vector<Parcel<T>>& buf,
-                       const std::vector<RunSpan>& runs, std::size_t count, int phase, int step,
+                       std::span<const RunSpan> runs, std::size_t count, int phase, int step,
                        Rank src, Rank dst) {
   frame.bind(arena, multi_run_frame_bytes<T>(runs.size(), count));
   encode_multi_run_frame(buf, runs, count, phase, step, src, dst, frame.bytes());
@@ -662,20 +729,18 @@ void encode_send_frame(WireArena& arena, PooledFrame& frame, const std::vector<P
   stats.bytes_copied += static_cast<std::int64_t>(count * sizeof(Parcel<T>));
 }
 
-/// Hole-splices a verified frame's runs into `buf` at position `at`
-/// (one grow, one tail shift, one memcpy per run) and books the copy in
-/// the arena's stats. Grows with resize, not insert(pos, n, value):
-/// libstdc++ fills the latter element by element, several times slower
-/// for short runs.
+/// Opens the hole a verified kHole send leaves in its source: the kept
+/// parcels between the first and the last run shift right, in order,
+/// so the sent slots become [runs.front().first, + parcel count).
+/// Parcels after the last run do not move. Returns the hole's start.
 template <typename T>
-void splice_frame(WireArena& arena, const SealedRunFrameView<T>& view,
-                  std::vector<Parcel<T>>& buf, std::size_t at) {
-  const std::size_t old_size = buf.size();
-  buf.resize(old_size + view.count());
-  std::move_backward(buf.begin() + static_cast<std::ptrdiff_t>(at),
-                     buf.begin() + static_cast<std::ptrdiff_t>(old_size), buf.end());
-  view.scatter(buf.data() + at);
-  arena.stats().bytes_copied += static_cast<std::int64_t>(view.payload_size());
+std::size_t open_send_hole(std::vector<Parcel<T>>& buf, std::span<const RunSpan> runs) {
+  auto kept_end = buf.begin() + runs.back().last;
+  for (std::size_t r = runs.size() - 1; r > 0; --r) {
+    kept_end = std::move_backward(buf.begin() + runs[r - 1].last, buf.begin() + runs[r].first,
+                                  kept_end);
+  }
+  return runs.front().first;
 }
 
 /// The wire's retransmit protocol state: the tamper hook (null for a
@@ -690,12 +755,12 @@ struct FrameSeal {
 
 /// Where a verified frame lands in its receiver's buffer.
 enum class FramePlacement {
-  kHole,    ///< in the room the receiver's own send left
+  kHole,    ///< in the hole the receiver's own send opened
   kAppend,  ///< at the end of the receiver's buffer
 };
 
 /// The framed step kernel (see the section comment), re-entrant per
-/// (phase, step). `algo` and `arena` must outlive it.
+/// (phase, step). `algo`, `arena` and a bound plan must outlive it.
 template <typename T>
 class FramedStepper {
  public:
@@ -703,11 +768,46 @@ class FramedStepper {
                 Recorder* obs = nullptr)
       : algo_(&algo), arena_(&arena), placement_(placement), obs_(obs),
         pending_(static_cast<std::size_t>(algo.shape().num_nodes())),
-        received_at_(pending_.size(), 0) {}
+        received_at_(pending_.size(), 0), sent_(pending_.size(), 0) {}
 
   /// Retransmit state: callers set the tamperer, budget and tick, and
   /// read the report (report.parcels counts every verified send).
   FrameSeal seal;
+
+  /// Binds `plan` to the kHole exchange about to run over a canonical
+  /// seed; `destination_ordered` is what require_canonical_parcel_seed
+  /// returned for it. A recorded plan replays, and then the seed must be
+  /// destination-ordered (throws otherwise). An empty plan records when
+  /// it is, and commit_plan() stores the recording once every step ran.
+  void bind_plan(SendPlan& plan, bool destination_ordered) {
+    TOREX_CHECK(placement_ == FramePlacement::kHole, "send plans drive only kHole exchanges");
+    const std::size_t slots = static_cast<std::size_t>(algo_->total_steps()) * pending_.size();
+    if (plan.recorded()) {
+      TOREX_REQUIRE(destination_ordered,
+                    "a recorded send plan replays only over a destination-ordered seed");
+      TOREX_CHECK(plan.slots() == slots, "send plan recorded for another schedule");
+      plan_ = &plan;
+    } else if (destination_ordered) {
+      plan_ = &plan;
+      recording_ = true;
+      recorded_steps_ = 0;
+      rec_offsets_.assign(slots + 1, 0);
+      rec_runs_.clear();
+    }
+  }
+
+  /// Stores a completed recording in the bound plan. A recording cut
+  /// short (IntegrityError) never gets here, so its partial plan dies
+  /// with the stepper. A plan too long for 32-bit offsets is not kept.
+  void commit_plan() {
+    if (!recording_) return;
+    recording_ = false;
+    TOREX_CHECK(recorded_steps_ == algo_->total_steps(), "send plan recording skipped steps");
+    if (rec_runs_.size() > UINT32_MAX) return;
+    rec_offsets_.back() = static_cast<std::uint32_t>(rec_runs_.size());
+    plan_->assign(std::move(rec_offsets_), rec_runs_);
+    rec_runs_ = {};
+  }
 
   /// Runs (phase, step) over `buffers` and returns the parcels sent.
   /// `before_lease(held)` runs before each frame is leased, with the
@@ -730,6 +830,16 @@ class FramedStepper {
     const Rank N = algo.shape().num_nodes();
     const int hops = algo.hops_per_step(phase);
     IntegrityReport& report = seal.report;
+    const bool replaying = plan_ != nullptr && !recording_;
+    std::size_t slot = 0;  // of node 0 at this step
+    if (plan_ != nullptr) {
+      int flat = step - 1;
+      for (int earlier = 1; earlier < phase; ++earlier) flat += algo.steps_in_phase(earlier);
+      if (recording_) {
+        TOREX_CHECK(flat == recorded_steps_++, "a send plan records the steps in order");
+      }
+      slot = static_cast<std::size_t>(flat) * static_cast<std::size_t>(N);
+    }
     // Retransmissions across node pairs overlap in time; the step
     // consumes 1 + (worst retransmit count) ticks.
     std::int64_t extra_ticks = 0;
@@ -737,11 +847,29 @@ class FramedStepper {
     std::int64_t leased = 0;
     for (Rank p = 0; p < N; ++p) {
       auto& buf = buffers[static_cast<std::size_t>(p)];
-      // The hole this node's own send leaves; the end if it sends nothing.
+      // The hole this node's own send opens; the end if it sends nothing.
       received_at_[static_cast<std::size_t>(p)] = buf.size();
+      sent_[static_cast<std::size_t>(p)] = 0;
       const SuhShinAape::SendTest sends = algo.send_test(p, phase, step);
-      const std::size_t count =
-          collect_send_runs(buf, [&](const Parcel<T>& x) { return sends(x.block); }, runs_);
+      std::span<const RunSpan> runs;
+      std::size_t count = 0;
+      if (replaying) {
+        runs = plan_->runs(slot + static_cast<std::size_t>(p));
+        for (const RunSpan& r : runs) {
+          TOREX_CHECK(r.first < r.last && r.last <= buf.size() && sends(buf[r.first].block),
+                      "recorded send plan does not fit the buffer");
+          count += r.last - r.first;
+        }
+      } else {
+        count = collect_send_runs(
+            buf, [&](const Parcel<T>& x) { return sends(x.block); }, runs_);
+        runs = runs_;
+        if (recording_) {
+          rec_offsets_[slot + static_cast<std::size_t>(p)] =
+              static_cast<std::uint32_t>(rec_runs_.size());
+          rec_runs_.insert(rec_runs_.end(), runs_.begin(), runs_.end());
+        }
+      }
       if (count == 0) continue;
       const Rank q = algo.partner(p, phase, step);
       const Direction dir = algo.direction(p, phase, step);
@@ -749,7 +877,7 @@ class FramedStepper {
       TOREX_CHECK(!out.frame.bound(), "one-port receive violation in framed exchange");
       before_lease(leased++);
       for (int attempt = 0;; ++attempt) {
-        encode_send_frame(*arena_, out.frame, buf, runs_, count, phase, step, p, q);
+        encode_send_frame(*arena_, out.frame, buf, runs, count, phase, step, p, q);
         const TransferContext ctx{.phase = phase, .step = step, .src = p, .dst = q,
                                   .direction = dir, .hops = hops,
                                   .tick = seal.tick + attempt, .attempt = attempt};
@@ -758,9 +886,13 @@ class FramedStepper {
         if (decode_multi_run_frame<T>(out.frame.view(), phase, step, p, q, N, out.view,
                                       &reason)) {
           // The frame holds its own copy of the runs, so the source
-          // compacts now.
-          received_at_[static_cast<std::size_t>(p)] = runs_.front().first;
-          erase_runs(buf, runs_);
+          // gives up their slots now.
+          if (placement_ == FramePlacement::kHole) {
+            received_at_[static_cast<std::size_t>(p)] = open_send_hole(buf, runs);
+            sent_[static_cast<std::size_t>(p)] = count;
+          } else {
+            erase_runs(buf, runs);
+          }
           ++report.messages;
           report.parcels += static_cast<std::int64_t>(count);
           report.retransmits += attempt;
@@ -790,13 +922,21 @@ class FramedStepper {
         }
       }
     }
-    // Integrate half: splice each verified frame at its placement; the
-    // frames return to the arena as `release` goes out of scope.
+    // Integrate half: place each verified frame; the frames return to
+    // the arena as `release` goes out of scope.
     for (std::size_t p = 0; p < pending_.size(); ++p) {
       auto& buf = buffers[p];
-      std::size_t& at = received_at_[p];
-      at = placement_ == FramePlacement::kAppend ? buf.size() : std::min(at, buf.size());
-      if (pending_[p].frame.bound()) splice_frame(*arena_, pending_[p].view, buf, at);
+      const Pending& in = pending_[p];
+      const std::size_t arrived = in.frame.bound() ? in.view.count() : 0;
+      if (placement_ == FramePlacement::kHole) {
+        TOREX_CHECK(arrived == sent_[p], "a canonical step brings a node what it sent");
+        if (arrived > 0) in.view.scatter(buf.data() + received_at_[p]);
+      } else {
+        received_at_[p] = buf.size();
+        if (arrived > 0) in.view.append_to(buf);
+      }
+      arena_->stats().bytes_copied +=
+          static_cast<std::int64_t>(arrived * sizeof(Parcel<T>));
     }
     seal.tick += 1 + extra_ticks;
     return sent;
@@ -819,15 +959,21 @@ class FramedStepper {
   Recorder* obs_;
   std::vector<Pending> pending_;
   std::vector<std::size_t> received_at_;
-  std::vector<RunSpan> runs_;  // send-set scan scratch, reused per node
+  std::vector<std::size_t> sent_;  // per node: parcels its last verified send took out
+  std::vector<RunSpan> runs_;      // send-set scan scratch, reused per node
+  SendPlan* plan_ = nullptr;       // bound plan: replayed, or recorded into
+  bool recording_ = false;
+  int recorded_steps_ = 0;
+  std::vector<std::uint32_t> rec_offsets_;  // recording: slot -> first run
+  std::vector<RunSpan> rec_runs_;           // recording: every slot's runs
 };
 
 /// Runs every phase and step of `algo` over `buffers` through
-/// `stepper`. `before_phase(phase)` runs before each phase's span
-/// opens, so work it records under its own span (the pooled executor's
-/// "rearrange") is not counted a second time in the phase's extent.
-/// Throws IntegrityError (with the report) once a message exhausts the
-/// seal's retransmit budget.
+/// `stepper`, then commits a recording plan. `before_phase(phase)` runs
+/// before each phase's span opens, so work it records under its own
+/// span (the pooled executor's "rearrange") is not counted a second
+/// time in the phase's extent. Throws IntegrityError (with the report)
+/// once a message exhausts the seal's retransmit budget.
 template <typename T, typename BeforePhase>
 void run_framed_exchange(const SuhShinAape& algo, ParcelBuffers<T>& buffers,
                          FramedStepper<T>& stepper, Recorder* obs, BeforePhase&& before_phase) {
@@ -840,6 +986,55 @@ void run_framed_exchange(const SuhShinAape& algo, ParcelBuffers<T>& buffers,
     }
   }
   stepper.seal.report.final_tick = stepper.seal.tick;
+  stepper.commit_plan();
+}
+
+/// exchange_payloads_sealed driven by `plan` (see SendPlan): replayed
+/// when recorded, recorded into when empty; null scans every step.
+template <typename T>
+ParcelBuffers<T> exchange_payloads_sealed_planned(const SuhShinAape& algo,
+                                                  ParcelBuffers<T> buffers,
+                                                  const ParcelTamperer& tamperer,
+                                                  const IntegrityOptions& options,
+                                                  IntegrityReport* report_out, Recorder* obs,
+                                                  SendPlan* plan) {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "sealed exchange requires trivially copyable payloads");
+  const Rank N = algo.shape().num_nodes();
+  const bool destination_ordered = require_canonical_parcel_seed(N, buffers);
+  TOREX_REQUIRE(options.max_retransmits >= 0, "retransmit budget must be non-negative");
+  if (obs != nullptr && !obs->enabled()) obs = nullptr;
+  SpanGuard exchange_span(obs, "exchange_sealed");
+  WireArena local_arena;
+  WireArena& arena = options.arena != nullptr ? *options.arena : local_arena;
+  const WirePoolStats stats_before = arena.stats();
+  // Publishes the integrity and wire counters and hands the report
+  // out — on success and on throw alike.
+  const auto finish = [&](const IntegrityReport& r) {
+    if (obs != nullptr) {
+      MetricsRegistry& m = obs->metrics();
+      m.counter("integrity.messages").add(r.messages);
+      m.counter("integrity.parcels").add(r.parcels);
+      m.counter("integrity.retransmits").add(r.retransmits);
+      m.counter("integrity.corrupted").add(r.corrupted);
+    }
+    publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
+    if (report_out != nullptr) *report_out = r;
+  };
+
+  FramedStepper<T> stepper(algo, arena, FramePlacement::kHole, obs);
+  stepper.seal = {
+      .tamperer = &tamperer, .max_retransmits = options.max_retransmits, .tick = options.base_tick};
+  if (plan != nullptr) stepper.bind_plan(*plan, destination_ordered);
+  try {
+    run_framed_exchange(algo, buffers, stepper, obs, [](int) {});
+  } catch (const IntegrityError& e) {
+    finish(e.report());
+    throw;
+  }
+  check_parcel_postcondition(N, buffers);
+  finish(stepper.seal.report);
+  return buffers;
 }
 
 }  // namespace detail
@@ -861,42 +1056,8 @@ ParcelBuffers<T> exchange_payloads_sealed(const SuhShinAape& algo, ParcelBuffers
                                           const IntegrityOptions& options = {},
                                           IntegrityReport* report_out = nullptr,
                                           Recorder* obs = nullptr) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "sealed exchange requires trivially copyable payloads");
-  const Rank N = algo.shape().num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers);
-  TOREX_REQUIRE(options.max_retransmits >= 0, "retransmit budget must be non-negative");
-  if (obs != nullptr && !obs->enabled()) obs = nullptr;
-  SpanGuard exchange_span(obs, "exchange_sealed");
-  WireArena local_arena;
-  WireArena& arena = options.arena != nullptr ? *options.arena : local_arena;
-  const WirePoolStats stats_before = arena.stats();
-  // Publishes the integrity and wire counters and hands the report
-  // out — on success and on throw alike.
-  const auto finish = [&](const IntegrityReport& r) {
-    if (obs != nullptr) {
-      MetricsRegistry& m = obs->metrics();
-      m.counter("integrity.messages").add(r.messages);
-      m.counter("integrity.parcels").add(r.parcels);
-      m.counter("integrity.retransmits").add(r.retransmits);
-      m.counter("integrity.corrupted").add(r.corrupted);
-    }
-    detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
-    if (report_out != nullptr) *report_out = r;
-  };
-
-  detail::FramedStepper<T> stepper(algo, arena, detail::FramePlacement::kHole, obs);
-  stepper.seal = {
-      .tamperer = &tamperer, .max_retransmits = options.max_retransmits, .tick = options.base_tick};
-  try {
-    detail::run_framed_exchange(algo, buffers, stepper, obs, [](int) {});
-  } catch (const IntegrityError& e) {
-    finish(e.report());
-    throw;
-  }
-  detail::check_parcel_postcondition(N, buffers);
-  finish(stepper.seal.report);
-  return buffers;
+  return detail::exchange_payloads_sealed_planned(algo, std::move(buffers), tamperer, options,
+                                                  report_out, obs, nullptr);
 }
 
 // --- Pooled layout-faithful exchange -----------------------------------
@@ -996,24 +1157,20 @@ struct WireExchangeOptions {
   Recorder* obs = nullptr;
 };
 
-/// exchange_payloads over the zero-copy wire: buffers are kept in the
-/// paper's §3.3 physical order (one stable counting pass per phase
-/// boundary, giving exactly the order data_array's layout simulator
-/// sorts into), each step's send set
-/// is gathered run-by-run into a pooled frame — one memcpy per run,
-/// and under the paper layout in 2D that is one memcpy per message —
-/// and receives are verified in place and spliced into the hole the
-/// node's own send left. The arena records LayoutStats-style run
-/// accounting, so the payload path reports the same contiguity
-/// evidence as the block-level simulator. Steady state performs no
-/// heap allocation on the wire: frames recycle through the arena.
+namespace detail {
+
+/// exchange_payloads_pooled driven by `plan` (see SendPlan): replayed
+/// when recorded, recorded into when empty; null scans every step. A
+/// plan fits one layout policy.
 template <typename T>
-ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers<T> buffers,
-                                          const WireExchangeOptions& options = {}) {
+ParcelBuffers<T> exchange_payloads_pooled_planned(const SuhShinAape& algo,
+                                                  ParcelBuffers<T> buffers,
+                                                  const WireExchangeOptions& options,
+                                                  SendPlan* plan) {
   static_assert(std::is_trivially_copyable_v<Parcel<T>>,
                 "pooled exchange requires trivially copyable parcels");
   const Rank N = algo.shape().num_nodes();
-  detail::require_canonical_parcel_seed(N, buffers);
+  const bool destination_ordered = require_canonical_parcel_seed(N, buffers);
   Recorder* obs = options.obs;
   if (obs != nullptr && !obs->enabled()) obs = nullptr;
   WireArena local_arena;
@@ -1025,7 +1182,7 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers
   // accounting as the layout simulator (phase 1's initial order is
   // counted as given). A phase without steps moves nothing, so its
   // order is left for the next boundary to set.
-  detail::LayoutScratch<T> scratch;
+  LayoutScratch<T> scratch;
   const auto rearrange = [&](int phase) {
     if (phase > 1) {
       ++arena.stats().rearrangement_passes;
@@ -1034,17 +1191,37 @@ ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers
     if (algo.steps_in_phase(phase) == 0) return;
     SpanGuard rearrange_span(obs, "rearrange", -1, phase);
     for (Rank p = 0; p < N; ++p) {
-      detail::rearrange_by_layout(algo, options.layout, p, phase,
-                                  buffers[static_cast<std::size_t>(p)], scratch);
+      rearrange_by_layout(algo, options.layout, p, phase, buffers[static_cast<std::size_t>(p)],
+                          scratch);
     }
   };
 
   // The internal wire: no tamperer, no retransmits.
-  detail::FramedStepper<T> stepper(algo, arena, detail::FramePlacement::kHole, obs);
-  detail::run_framed_exchange(algo, buffers, stepper, obs, rearrange);
-  detail::check_parcel_postcondition(N, buffers);
-  detail::publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
+  FramedStepper<T> stepper(algo, arena, FramePlacement::kHole, obs);
+  if (plan != nullptr) stepper.bind_plan(*plan, destination_ordered);
+  run_framed_exchange(algo, buffers, stepper, obs, rearrange);
+  check_parcel_postcondition(N, buffers);
+  publish_wire_metrics(obs, wire_stats_delta(arena.stats(), stats_before));
   return buffers;
+}
+
+}  // namespace detail
+
+/// exchange_payloads over the zero-copy wire: buffers are kept in the
+/// paper's §3.3 physical order (one stable counting pass per phase
+/// boundary, giving exactly the order data_array's layout simulator
+/// sorts into), each step's send set
+/// is gathered run-by-run into a pooled frame — one memcpy per run,
+/// and under the paper layout in 2D that is one memcpy per message —
+/// and receives are verified in place and scattered into the hole the
+/// node's own send opened. The arena records LayoutStats-style run
+/// accounting, so the payload path reports the same contiguity
+/// evidence as the block-level simulator. Steady state performs no
+/// heap allocation on the wire: frames recycle through the arena.
+template <typename T>
+ParcelBuffers<T> exchange_payloads_pooled(const SuhShinAape& algo, ParcelBuffers<T> buffers,
+                                          const WireExchangeOptions& options = {}) {
+  return detail::exchange_payloads_pooled_planned(algo, std::move(buffers), options, nullptr);
 }
 
 /// Runs the schedule over an arbitrary parcel multiset (the Alltoallv

@@ -219,8 +219,8 @@ class TorusCommunicator {
       // exchanges); other types fall back to the struct-move executor.
       ParcelBuffers<T> delivered;
       if constexpr (std::is_trivially_copyable_v<Parcel<T>>) {
-        delivered = exchange_payloads_pooled(algo, std::move(parcels),
-                                             {.arena = &wire_arena_, .obs = obs});
+        delivered = detail::exchange_payloads_pooled_planned(
+            algo, std::move(parcels), {.arena = &wire_arena_, .obs = obs}, &pooled_plan_);
       } else {
         delivered = exchange_payloads(algo, std::move(parcels), obs);
       }
@@ -300,8 +300,8 @@ class TorusCommunicator {
     WireExchangeOptions wire_options;
     wire_options.arena = &wire_arena_;
     wire_options.obs = obs;
-    const auto delivered =
-        exchange_payloads_pooled(*schedule_, seed_parcels_strided(N, send), wire_options);
+    const auto delivered = detail::exchange_payloads_pooled_planned(
+        *schedule_, seed_parcels_strided(N, send), wire_options, &pooled_plan_);
     SpanGuard scatter_span(obs, "scatter");
     scatter_parcels_strided(N, delivered, recv);
   }
@@ -406,9 +406,9 @@ class TorusCommunicator {
         IntegrityReport report;
         SpanGuard verify_span(obs, "verify");
         if (iopts.arena == nullptr) iopts.arena = &wire_arena_;
-        auto recv = scatter_rows(exchange_payloads_sealed(
+        auto recv = scatter_rows(detail::exchange_payloads_sealed_planned(
             *schedule_, seed_parcels_strided(size(), detail::dense_views(send)),
-            corruption.tamperer(schedule_->torus()), iopts, &report, obs));
+            corruption.tamperer(schedule_->torus()), iopts, &report, obs, &sealed_plan_));
         outcome.corrupted_messages += report.corrupted;
         outcome.retransmits += report.retransmits;
         if (outcome.integrity == IntegrityStatus::kClean && !report.clean()) {
@@ -570,6 +570,12 @@ class TorusCommunicator {
   /// logically const; concurrent calls on one communicator were never
   /// supported (each thread should own its communicator or engine).
   mutable WireArena wire_arena_;
+  /// Send plans (detail::SendPlan) recorded by the first call down each
+  /// Suh-Shin wire path and replayed by every later one: the pooled
+  /// §3.3 path (alltoall and alltoall_strided seed in the same
+  /// destination order) and the sealed path (alltoall_checked).
+  mutable detail::SendPlan pooled_plan_;
+  mutable detail::SendPlan sealed_plan_;
 };
 
 }  // namespace torex

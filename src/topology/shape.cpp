@@ -70,6 +70,11 @@ std::int32_t TorusShape::coord_along(Rank rank, int dim) const {
   return static_cast<std::int32_t>((rank / strides_[d]) % extents_[d]);
 }
 
+std::int64_t TorusShape::stride(int dim) const {
+  TOREX_REQUIRE(dim >= 0 && dim < num_dims(), "dimension out of range");
+  return strides_[static_cast<std::size_t>(dim)];
+}
+
 bool TorusShape::all_extents_multiple_of_four() const {
   return std::all_of(extents_.begin(), extents_.end(),
                      [](std::int32_t e) { return is_positive_multiple_of(e, 4); });

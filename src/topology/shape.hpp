@@ -48,6 +48,10 @@ class TorusShape {
   /// other per-block hot paths.
   std::int32_t coord_along(Rank rank, int dim) const;
 
+  /// Rank difference between neighbors along `dim`: the product of the
+  /// extents after it.
+  std::int64_t stride(int dim) const;
+
   /// True when every extent is a (positive) multiple of four — the
   /// precondition of the Suh–Shin algorithms.
   bool all_extents_multiple_of_four() const;

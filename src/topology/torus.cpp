@@ -36,9 +36,13 @@ Rank Torus::neighbor(Rank node, Direction direction) const {
 }
 
 Rank Torus::neighbor_at(Rank node, Direction direction, std::int64_t hops) const {
-  Coord c = shape_.coord_of(node);
-  c = shape_.moved(c, direction.dim, static_cast<std::int64_t>(sign_value(direction.sign)) * hops);
-  return shape_.rank_of(c);
+  // Only the coordinate along direction.dim changes, so the rank moves
+  // by that coordinate's change times the dimension's stride.
+  const std::int32_t from = shape_.coord_along(node, direction.dim);
+  const std::int32_t to =
+      shape_.wrap(direction.dim, from + std::int64_t{sign_value(direction.sign)} * hops);
+  return static_cast<Rank>(node + (static_cast<std::int64_t>(to) - from) *
+                                      shape_.stride(direction.dim));
 }
 
 void Torus::straight_path(Rank from, Direction direction, std::int64_t hops,

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "case_names.hpp"
 #include "baselines/bruck.hpp"
 #include "baselines/dimwise.hpp"
 #include "baselines/direct_exchange.hpp"
@@ -23,6 +24,8 @@ namespace {
 struct GrayCase {
   std::vector<std::int32_t> extents;
 };
+
+void PrintTo(const GrayCase& c, std::ostream* os) { *os << test::extents_name(c.extents); }
 
 class GrayCodeTest : public ::testing::TestWithParam<GrayCase> {};
 
@@ -55,7 +58,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GrayCodeTest,
                          ::testing::Values(GrayCase{{4, 4}}, GrayCase{{8, 6}},
                                            GrayCase{{2, 2}}, GrayCase{{6, 4, 2}},
                                            GrayCase{{4, 4, 4}}, GrayCase{{2, 2, 2, 2}},
-                                           GrayCase{{12, 8}}));
+                                           GrayCase{{12, 8}}),
+                         ::testing::PrintToStringParamName());
 
 TEST(GrayCodeTest, RejectsOddExtents) {
   EXPECT_THROW(RingExchange(TorusShape({5, 4})), std::invalid_argument);

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "case_names.hpp"
 #include "core/payload_exchange.hpp"
 #include "util/prng.hpp"
 
@@ -14,6 +15,10 @@ struct CollectiveCase {
   std::vector<std::int32_t> extents;
   Rank root;
 };
+
+void PrintTo(const CollectiveCase& c, std::ostream* os) {
+  *os << test::extents_name(c.extents) << "_root" << c.root;
+}
 
 class ScatterGatherTest : public ::testing::TestWithParam<CollectiveCase> {};
 
@@ -58,7 +63,8 @@ INSTANTIATE_TEST_SUITE_P(Cases, ScatterGatherTest,
                                            CollectiveCase{{8, 8}, 0},
                                            CollectiveCase{{8, 8}, 37},
                                            CollectiveCase{{12, 8}, 95},
-                                           CollectiveCase{{8, 4, 4}, 64}));
+                                           CollectiveCase{{8, 4, 4}, 64}),
+                         ::testing::PrintToStringParamName());
 
 TEST(CustomParcelsTest, RandomSparseWorkloadWithPayloads) {
   const SuhShinAape algo(TorusShape::make_2d(8, 8));

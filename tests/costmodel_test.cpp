@@ -3,6 +3,7 @@
 // overlap, and with measured traces everywhere.
 #include <gtest/gtest.h>
 
+#include "case_names.hpp"
 #include "core/exchange_engine.hpp"
 #include "costmodel/lower_bounds.hpp"
 #include "costmodel/models.hpp"
@@ -107,6 +108,8 @@ struct PriceCase {
   std::vector<std::int32_t> extents;
 };
 
+void PrintTo(const PriceCase& c, std::ostream* os) { *os << test::extents_name(c.extents); }
+
 class TracePricingTest : public ::testing::TestWithParam<PriceCase> {};
 
 TEST_P(TracePricingTest, MeasuredTraceMatchesClosedForm) {
@@ -130,7 +133,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TracePricingTest,
                          ::testing::Values(PriceCase{{8, 8}}, PriceCase{{12, 8}},
                                            PriceCase{{12, 12}}, PriceCase{{16, 16}},
                                            PriceCase{{8, 8, 4}}, PriceCase{{12, 8, 4}},
-                                           PriceCase{{8, 8, 8}}, PriceCase{{8, 4, 4, 4}}));
+                                           PriceCase{{8, 8, 8}}, PriceCase{{8, 4, 4, 4}}),
+                         ::testing::PrintToStringParamName());
 
 TEST(CostModelTest, BreakdownTotalsAndAccumulate) {
   CostBreakdown a{1.0, 2.0, 3.0, 4.0};

@@ -2,6 +2,7 @@
 // padding extension (§6).
 #include <gtest/gtest.h>
 
+#include "case_names.hpp"
 #include "core/data_array.hpp"
 #include "core/virtual_torus.hpp"
 #include "sim/cost_simulator.hpp"
@@ -101,6 +102,8 @@ struct VirtualCase {
   std::vector<std::int32_t> extents;
 };
 
+void PrintTo(const VirtualCase& c, std::ostream* os) { *os << test::extents_name(c.extents); }
+
 class VirtualSweepTest : public ::testing::TestWithParam<VirtualCase> {};
 
 TEST_P(VirtualSweepTest, PaddedExchangeCompletes) {
@@ -116,7 +119,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, VirtualSweepTest,
                          ::testing::Values(VirtualCase{{10, 10}}, VirtualCase{{9, 7}},
                                            VirtualCase{{11, 5}}, VirtualCase{{6, 6}},
                                            VirtualCase{{13, 4}}, VirtualCase{{7, 6, 5}},
-                                           VirtualCase{{5, 4, 3}}, VirtualCase{{8, 8}}));
+                                           VirtualCase{{5, 4, 3}}, VirtualCase{{8, 8}}),
+                         ::testing::PrintToStringParamName());
 
 TEST(VirtualTorusTest, ExactMultipleOfFourHasNoSerializationOverhead) {
   // When no padding is needed every virtual node is primary and hosts

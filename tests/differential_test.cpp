@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "case_names.hpp"
 #include "core/data_array.hpp"
 #include "core/exchange_engine.hpp"
 #include "core/payload_exchange.hpp"
@@ -28,6 +29,10 @@ struct DiffCase {
   std::vector<std::int32_t> extents;
   std::uint64_t seed;
 };
+
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  *os << test::extents_name(c.extents) << "_seed" << c.seed;
+}
 
 class DifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
@@ -360,7 +365,8 @@ INSTANTIATE_TEST_SUITE_P(Cases, DifferentialTest,
                                            DiffCase{{12, 8}, 3}, DiffCase{{12, 12}, 4},
                                            DiffCase{{8, 8, 4}, 5}, DiffCase{{8, 4, 4}, 6},
                                            DiffCase{{16, 4}, 7},
-                                           DiffCase{{4, 4, 4, 4}, 8}));
+                                           DiffCase{{4, 4, 4, 4}, 8}),
+                         ::testing::PrintToStringParamName());
 
 TEST(DifferentialTest, JournaledStringPayloadsTakeTheMovePathExactlyOnce) {
   // std::string parcels are not trivially copyable, so live journaled

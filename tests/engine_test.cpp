@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "case_names.hpp"
 #include "core/exchange_engine.hpp"
 #include "sim/contention.hpp"
 
@@ -15,12 +16,8 @@ struct EngineCase {
   PatternConvention convention;
 };
 
-std::string case_name(const ::testing::TestParamInfo<EngineCase>& info) {
-  std::string name;
-  for (auto e : info.param.extents) name += std::to_string(e) + "x";
-  name.pop_back();
-  name += info.param.convention == PatternConvention::kPaper2D ? "_paper2d" : "_nested";
-  return name;
+void PrintTo(const EngineCase& c, std::ostream* os) {
+  *os << test::extents_name(c.extents) << '_' << test::convention_name(c.convention);
 }
 
 class EngineSweepTest : public ::testing::TestWithParam<EngineCase> {
@@ -137,7 +134,7 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{{8, 4, 4, 4}, PatternConvention::kNested},
         EngineCase{{8, 8, 4, 4}, PatternConvention::kNested},
         EngineCase{{4, 4, 4, 4, 4}, PatternConvention::kNested}),
-    case_name);
+    ::testing::PrintToStringParamName());
 
 TEST(EngineTest, TraceRecordsRearrangementModel) {
   const SuhShinAape algo(TorusShape::make_2d(12, 12));

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "case_names.hpp"
 #include "core/exchange_engine.hpp"
 #include "runtime/communicator.hpp"
 #include "runtime/recovery.hpp"
@@ -260,6 +261,16 @@ TEST(FaultedWormholeTest, FaultedTraceStepsPriceAboveHealthyBaseline) {
 
 // --- Recovery policies (the PR's acceptance scenario) ------------------
 
+}  // namespace
+
+// Found by argument-dependent lookup, so it lives in RecoveryPolicy's
+// own namespace.
+void PrintTo(RecoveryPolicy policy, std::ostream* os) {
+  *os << test::name_token(to_string(policy));
+}
+
+namespace {
+
 class PermanentChannelFaultPolicyTest : public ::testing::TestWithParam<RecoveryPolicy> {};
 
 TEST_P(PermanentChannelFaultPolicyTest, TwelveByEightStillPermutesCorrectly) {
@@ -308,7 +319,8 @@ TEST_P(PermanentChannelFaultPolicyTest, TwelveByEightStillPermutesCorrectly) {
 INSTANTIATE_TEST_SUITE_P(Policies, PermanentChannelFaultPolicyTest,
                          ::testing::Values(RecoveryPolicy::kRetryBackoff,
                                            RecoveryPolicy::kRemap,
-                                           RecoveryPolicy::kFallbackDirect));
+                                           RecoveryPolicy::kFallbackDirect),
+                         ::testing::PrintToStringParamName());
 
 TEST(RecoveryTest, TransientFaultRetryConvergesWithinBudget) {
   const TorusShape shape = TorusShape::make_2d(12, 8);

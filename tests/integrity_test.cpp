@@ -216,6 +216,42 @@ TEST(SealedExchangeTest, TransientCorruptionHealsUnderRetransmit) {
   EXPECT_FALSE(report.fatal.has_value());
 }
 
+TEST(CorruptionModelTest, TampererAppliesTheFirstActiveChannelAlongThePath) {
+  // A 4-hop transfer eastward from (0,6) crosses the channels leaving
+  // (0,6), (0,7), (0,0) and (0,1), in that order. The specs are listed
+  // out of path order; the hook must damage the frame with the first
+  // one along the path that is active at the transfer's tick.
+  const Torus torus(TorusShape::make_2d(8, 8));
+  const TorusShape& s = torus.shape();
+  const Direction east{1, Sign::kPositive};
+  const Rank from = s.rank_of({0, 6});
+  CorruptionModel model;
+  model.corrupt_channel(s.rank_of({0, 1}), east, CorruptionKind::kTruncate, 0, kFaultForever,
+                        22);
+  model.corrupt_channel(s.rank_of({0, 7}), east, CorruptionKind::kBitFlip, 5, 6, 33);
+  model.corrupt_channel(s.rank_of({0, 0}), east, CorruptionKind::kBitFlip, 0, kFaultForever,
+                        11);
+  model.corrupt_channel(from, Direction{1, Sign::kNegative}, CorruptionKind::kTruncate, 0,
+                        kFaultForever, 44);  // off the path
+  const ParcelTamperer hook = model.tamperer(torus);
+  const std::vector<std::byte> clean(64, std::byte{0x5A});
+  const auto expect_damage = [&](std::int64_t tick, int hops, const CorruptionSpec* spec) {
+    const TransferContext ctx{.phase = 1, .step = 1, .src = from,
+                              .dst = torus.neighbor_at(from, east, hops), .direction = east,
+                              .hops = hops, .tick = tick, .attempt = 0};
+    std::vector<std::byte> wire = clean;
+    EXPECT_EQ(hook(ctx, wire), spec != nullptr) << "tick " << tick << " hops " << hops;
+    std::vector<std::byte> expected = clean;
+    if (spec != nullptr) CorruptionModel::apply(*spec, ctx, expected);
+    EXPECT_EQ(wire, expected) << "tick " << tick << " hops " << hops;
+  };
+  const std::vector<CorruptionSpec>& specs = model.specs();
+  expect_damage(0, 4, &specs[2]);  // (0,0) comes before (0,1)
+  expect_damage(5, 4, &specs[1]);  // (0,7) is active at tick 5 only
+  expect_damage(0, 2, nullptr);    // (0,7) inactive, (0,0) not reached
+  expect_damage(0, 0, nullptr);
+}
+
 TEST(SealedExchangeTest, PermanentCorruptionExhaustsBudgetAndThrows) {
   const SuhShinAape algo(TorusShape({4, 4}));
   const Rank N = 16;

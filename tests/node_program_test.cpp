@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "case_names.hpp"
 #include "core/exchange_engine.hpp"
 #include "runtime/node_program.hpp"
 
@@ -80,6 +81,10 @@ struct NodeRuntimeCase {
   std::vector<std::int32_t> extents;
 };
 
+void PrintTo(const NodeRuntimeCase& c, std::ostream* os) {
+  *os << test::extents_name(c.extents);
+}
+
 class NodeRuntimeTest : public ::testing::TestWithParam<NodeRuntimeCase> {};
 
 TEST_P(NodeRuntimeTest, LockstepRuntimeMatchesEngine) {
@@ -132,7 +137,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, NodeRuntimeTest,
                          ::testing::Values(NodeRuntimeCase{{4, 4}}, NodeRuntimeCase{{8, 8}},
                                            NodeRuntimeCase{{12, 8}},
                                            NodeRuntimeCase{{8, 8, 4}},
-                                           NodeRuntimeCase{{8, 4, 4, 4}}));
+                                           NodeRuntimeCase{{8, 4, 4, 4}}),
+                         ::testing::PrintToStringParamName());
 
 TEST(NodeProgramTest, SeedRejectsForeignBlocks) {
   const SuhShinAape algo(TorusShape::make_2d(4, 4));

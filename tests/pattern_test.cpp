@@ -4,6 +4,7 @@
 #include <set>
 #include <vector>
 
+#include "case_names.hpp"
 #include "core/pattern.hpp"
 #include "topology/shape.hpp"
 
@@ -182,6 +183,10 @@ struct PatternCase {
   PatternConvention convention;
 };
 
+void PrintTo(const PatternCase& c, std::ostream* os) {
+  *os << test::extents_name(c.extents) << '_' << test::convention_name(c.convention);
+}
+
 class PatternPropertyTest : public ::testing::TestWithParam<PatternCase> {};
 
 TEST_P(PatternPropertyTest, AssignmentIsAGroupInvariant) {
@@ -297,7 +302,8 @@ INSTANTIATE_TEST_SUITE_P(
         PatternCase{{16, 12, 8, 4}, PatternConvention::kNested},
         PatternCase{{8, 8, 8, 8}, PatternConvention::kNested},
         PatternCase{{4, 4, 4, 4, 4}, PatternConvention::kNested},
-        PatternCase{{8, 4, 4, 4, 4, 4}, PatternConvention::kNested}));
+        PatternCase{{8, 4, 4, 4, 4, 4}, PatternConvention::kNested}),
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace torex

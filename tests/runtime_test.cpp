@@ -2,6 +2,7 @@
 // engine across thread counts and shapes.
 #include <gtest/gtest.h>
 
+#include "case_names.hpp"
 #include "core/exchange_engine.hpp"
 #include "runtime/parallel_engine.hpp"
 
@@ -12,6 +13,10 @@ struct RuntimeCase {
   std::vector<std::int32_t> extents;
   int threads;
 };
+
+void PrintTo(const RuntimeCase& c, std::ostream* os) {
+  *os << test::extents_name(c.extents) << "_threads" << c.threads;
+}
 
 class ParallelRuntimeTest : public ::testing::TestWithParam<RuntimeCase> {};
 
@@ -56,7 +61,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RuntimeCase{{12, 8}, 3}, RuntimeCase{{12, 12}, 4},
                       RuntimeCase{{8, 8, 4}, 4}, RuntimeCase{{8, 8, 4}, 7},
                       RuntimeCase{{4, 4}, 16},  // more threads than busy nodes
-                      RuntimeCase{{8, 4, 4, 4}, 5}));
+                      RuntimeCase{{8, 4, 4, 4}, 5}),
+    ::testing::PrintToStringParamName());
 
 TEST(ParallelRuntimeTest, DefaultThreadCountRuns) {
   const SuhShinAape algo(TorusShape::make_2d(8, 8));

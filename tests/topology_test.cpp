@@ -103,6 +103,34 @@ TEST(TorusTest, NeighborWraps) {
   EXPECT_EQ(t.neighbor_at(origin, {0, Sign::kPositive}, 12), origin);
 }
 
+TEST(TorusTest, NeighborAtMatchesCoordinateReference) {
+  // The stride arithmetic against the coordinate-vector walk it
+  // replaced, on every node, dimension, sign and a spread of hop counts
+  // (zero, short, a full ring, past a full ring).
+  for (const std::vector<std::int32_t>& extents :
+       std::vector<std::vector<std::int32_t>>{
+           {8, 8}, {16, 16}, {12, 8}, {8, 8, 4}, {8, 4, 4, 4}, {5, 3}}) {
+    const Torus t{TorusShape(extents)};
+    const TorusShape& s = t.shape();
+    for (Rank node = 0; node < s.num_nodes(); ++node) {
+      for (int dim = 0; dim < s.num_dims(); ++dim) {
+        for (const Sign sign : {Sign::kPositive, Sign::kNegative}) {
+          const Direction dir{dim, sign};
+          for (const std::int64_t hops : {std::int64_t{0}, std::int64_t{1}, std::int64_t{3},
+                                          std::int64_t{s.extent(dim)},
+                                          std::int64_t{s.extent(dim)} + 1}) {
+            const Rank reference =
+                s.rank_of(s.moved(s.coord_of(node), dim, sign_value(sign) * hops));
+            ASSERT_EQ(t.neighbor_at(node, dir, hops), reference)
+                << s.to_string() << " node " << node << " dim " << dim << " hops " << hops;
+          }
+          ASSERT_EQ(t.neighbor(node, dir), t.neighbor_at(node, dir, 1));
+        }
+      }
+    }
+  }
+}
+
 TEST(TorusTest, StraightPathListsChannels) {
   const Torus t(TorusShape::make_2d(12, 8));
   std::vector<ChannelId> path;

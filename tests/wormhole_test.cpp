@@ -4,6 +4,7 @@
 // contention-freedom.
 #include <gtest/gtest.h>
 
+#include "case_names.hpp"
 #include "baselines/direct_exchange.hpp"
 #include "core/exchange_engine.hpp"
 #include "sim/wormhole.hpp"
@@ -119,6 +120,8 @@ struct FlitCase {
   std::vector<std::int32_t> extents;
 };
 
+void PrintTo(const FlitCase& c, std::ostream* os) { *os << test::extents_name(c.extents); }
+
 class FlitLevelScheduleTest : public ::testing::TestWithParam<FlitCase> {};
 
 TEST_P(FlitLevelScheduleTest, EveryScheduleStepIsStallFree) {
@@ -145,7 +148,8 @@ TEST_P(FlitLevelScheduleTest, EveryScheduleStepIsStallFree) {
 INSTANTIATE_TEST_SUITE_P(Shapes, FlitLevelScheduleTest,
                          ::testing::Values(FlitCase{{8, 8}}, FlitCase{{12, 8}},
                                            FlitCase{{12, 12}}, FlitCase{{8, 8, 4}},
-                                           FlitCase{{8, 4, 4, 4}}));
+                                           FlitCase{{8, 4, 4, 4}}),
+                         ::testing::PrintToStringParamName());
 
 TEST(WormholeTest, DirectExchangeStallsButCompletes) {
   // The direct baseline must survive (deadlock-free dateline VCs) and
