@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/block.hpp"
+#include "core/exchange_engine.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -21,54 +21,27 @@ int BruckExchange::num_steps() const {
 
 std::vector<RoutedStep> BruckExchange::run_verified() {
   const Rank N = torus_.shape().num_nodes();
-  std::vector<std::vector<Block>> buffers(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    for (Rank d = 0; d < N; ++d) buffers[static_cast<std::size_t>(p)].push_back(Block{p, d});
-  }
-
-  std::vector<RoutedStep> steps;
+  auto buffers = canonical_blocks(N);
   std::vector<std::vector<Block>> inbox(static_cast<std::size_t>(N));
+  std::vector<RoutedStep> steps;
   for (int k = 0; k < num_steps(); ++k) {
     const Rank hop = static_cast<Rank>(std::int64_t{1} << k);
     RoutedStep step;
-    for (Rank q = 0; q < N; ++q) {
-      auto& buf = buffers[static_cast<std::size_t>(q)];
-      auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Block& b) {
-        const Rank remaining = static_cast<Rank>(floor_mod<std::int64_t>(b.dest - q, N));
-        return (remaining & hop) == 0;
-      });
-      const std::int64_t sent = std::distance(split, buf.end());
-      if (sent == 0) continue;
-      const Rank to = static_cast<Rank>((q + hop) % N);
-      auto& in = inbox[static_cast<std::size_t>(to)];
-      TOREX_CHECK(in.empty(), "one-port violation in Bruck exchange");
-      in.assign(split, buf.end());
-      buf.erase(split, buf.end());
-      step.messages.emplace_back(q, to);
-      step.message_blocks.push_back(sent);
-    }
-    for (Rank q = 0; q < N; ++q) {
-      auto& in = inbox[static_cast<std::size_t>(q)];
-      if (in.empty()) continue;
-      auto& buf = buffers[static_cast<std::size_t>(q)];
-      buf.insert(buf.end(), in.begin(), in.end());
-      in.clear();
-    }
+    forward_blocks(
+        buffers, inbox,
+        [&](Rank q) {
+          return [q, hop, N](const Block& b) {
+            return (floor_mod<std::int64_t>(b.dest - q, N) & hop) != 0;
+          };
+        },
+        [&](Rank q) { return static_cast<Rank>((q + hop) % N); },
+        [&](Rank q, Rank to, std::int64_t sent) {
+          step.messages.emplace_back(q, to);
+          step.message_blocks.push_back(sent);
+        });
     steps.push_back(std::move(step));
   }
-
-  // Postcondition: node q holds exactly one block from every origin,
-  // all addressed to q.
-  for (Rank q = 0; q < N; ++q) {
-    const auto& buf = buffers[static_cast<std::size_t>(q)];
-    TOREX_CHECK(static_cast<Rank>(buf.size()) == N, "Bruck exchange lost blocks");
-    std::vector<char> seen(static_cast<std::size_t>(N), 0);
-    for (const Block& b : buf) {
-      TOREX_CHECK(b.dest == q, "Bruck exchange misdelivered a block");
-      TOREX_CHECK(!seen[static_cast<std::size_t>(b.origin)], "duplicate origin");
-      seen[static_cast<std::size_t>(b.origin)] = 1;
-    }
-  }
+  verify_aape_postcondition(torus_.shape(), buffers);
   return steps;
 }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/block.hpp"
+#include "core/exchange_engine.hpp"
 #include "sim/contention.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
@@ -27,57 +27,31 @@ int DimwiseExchange::num_steps() const {
 std::vector<RoutedStep> DimwiseExchange::run_verified() {
   const TorusShape& shape = torus_.shape();
   const Rank N = shape.num_nodes();
-  std::vector<std::vector<Block>> buffers(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    for (Rank d = 0; d < N; ++d) buffers[static_cast<std::size_t>(p)].push_back(Block{p, d});
-  }
-
-  std::vector<RoutedStep> steps;
+  auto buffers = canonical_blocks(N);
   std::vector<std::vector<Block>> inbox(static_cast<std::size_t>(N));
+  std::vector<RoutedStep> steps;
   for (int dim = 0; dim < shape.num_dims(); ++dim) {
     const std::int32_t extent = shape.extent(dim);
     for (std::int32_t hop = 1; hop < extent; hop *= 2) {
       RoutedStep step;
-      for (Rank q = 0; q < N; ++q) {
-        const Coord qc = shape.coord_of(q);
-        auto& buf = buffers[static_cast<std::size_t>(q)];
-        auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Block& b) {
-          const Coord dc = shape.coord_of(b.dest);
-          const std::int32_t remaining = static_cast<std::int32_t>(floor_mod<std::int64_t>(
-              dc[static_cast<std::size_t>(dim)] - qc[static_cast<std::size_t>(dim)], extent));
-          return (remaining & hop) == 0;
-        });
-        const std::int64_t sent = std::distance(split, buf.end());
-        if (sent == 0) continue;
-        const Rank to = torus_.neighbor_at(q, {dim, Sign::kPositive}, hop);
-        auto& in = inbox[static_cast<std::size_t>(to)];
-        TOREX_CHECK(in.empty(), "one-port violation in dimension-wise exchange");
-        in.assign(split, buf.end());
-        buf.erase(split, buf.end());
-        step.messages.emplace_back(q, to);
-        step.message_blocks.push_back(sent);
-      }
-      for (Rank q = 0; q < N; ++q) {
-        auto& in = inbox[static_cast<std::size_t>(q)];
-        if (in.empty()) continue;
-        auto& buf = buffers[static_cast<std::size_t>(q)];
-        buf.insert(buf.end(), in.begin(), in.end());
-        in.clear();
-      }
+      forward_blocks(
+          buffers, inbox,
+          [&](Rank q) {
+            const std::int32_t own = shape.coord_along(q, dim);
+            return [&shape, dim, extent, hop, own](const Block& b) {
+              return (floor_mod<std::int64_t>(shape.coord_along(b.dest, dim) - own, extent) &
+                      hop) != 0;
+            };
+          },
+          [&](Rank q) { return torus_.neighbor_at(q, {dim, Sign::kPositive}, hop); },
+          [&](Rank q, Rank to, std::int64_t sent) {
+            step.messages.emplace_back(q, to);
+            step.message_blocks.push_back(sent);
+          });
       steps.push_back(std::move(step));
     }
   }
-
-  for (Rank q = 0; q < N; ++q) {
-    const auto& buf = buffers[static_cast<std::size_t>(q)];
-    TOREX_CHECK(static_cast<Rank>(buf.size()) == N, "dimension-wise exchange lost blocks");
-    std::vector<char> seen(static_cast<std::size_t>(N), 0);
-    for (const Block& b : buf) {
-      TOREX_CHECK(b.dest == q, "dimension-wise exchange misdelivered a block");
-      TOREX_CHECK(!seen[static_cast<std::size_t>(b.origin)], "duplicate origin");
-      seen[static_cast<std::size_t>(b.origin)] = 1;
-    }
-  }
+  verify_aape_postcondition(shape, buffers);
   return steps;
 }
 

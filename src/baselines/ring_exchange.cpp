@@ -1,7 +1,6 @@
 #include "baselines/ring_exchange.hpp"
 
-#include <algorithm>
-
+#include "core/exchange_engine.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -83,66 +82,34 @@ ExchangeTrace RingExchange::run_verified() {
   const TorusShape& s = torus_.shape();
   const Rank N = s.num_nodes();
 
-  // buffers indexed by *ring position*; blocks tagged by destination
-  // ring position (remaining directed distance = dest_pos - pos mod N).
-  std::vector<std::vector<Rank>> held(static_cast<std::size_t>(N));
-  for (Rank pos = 0; pos < N; ++pos) {
-    for (Rank dpos = 0; dpos < N; ++dpos) {
-      if (dpos != pos) held[static_cast<std::size_t>(pos)].push_back(dpos);
-    }
-  }
-
-  ExchangeTrace trace;
-  trace.rearrangement_passes = 0;
-  trace.blocks_per_rearrangement = 0;
-  std::vector<std::vector<Rank>> inbox(static_cast<std::size_t>(N));
-
+  // Buffers and blocks are keyed by *ring position*: a block moves on
+  // while its destination position is not the holder's.
+  auto held = canonical_blocks(N);
+  std::vector<std::vector<Block>> inbox(static_cast<std::size_t>(N));
+  ExchangeTrace trace;  // no rearrangement passes
   for (Rank step = 1; step < N; ++step) {
     StepRecord rec;
     rec.phase = 1;
     rec.step = step;
     rec.hops = 1;
-    for (Rank pos = 0; pos < N; ++pos) {
-      auto& buf = held[static_cast<std::size_t>(pos)];
-      auto split = std::stable_partition(buf.begin(), buf.end(),
-                                         [&](Rank dpos) { return dpos == pos; });
-      const std::int64_t sent = std::distance(split, buf.end());
-      if (sent == 0) continue;
-      const Rank next = static_cast<Rank>((pos + 1) % N);
-      auto& in = inbox[static_cast<std::size_t>(next)];
-      in.insert(in.end(), split, buf.end());
-      buf.erase(split, buf.end());
-      rec.max_blocks_per_node = std::max(rec.max_blocks_per_node, sent);
-      rec.total_blocks += sent;
-      const Rank src = order_[static_cast<std::size_t>(pos)];
-      const Rank dst = order_[static_cast<std::size_t>(next)];
-      rec.transfers.push_back(TransferRecord{
-          src, dst, hop_direction(s, s.coord_of(src), s.coord_of(dst)), 1, sent});
-    }
-    for (Rank pos = 0; pos < N; ++pos) {
-      auto& in = inbox[static_cast<std::size_t>(pos)];
-      auto& buf = held[static_cast<std::size_t>(pos)];
-      buf.insert(buf.end(), in.begin(), in.end());
-      in.clear();
-    }
+    forward_blocks(
+        held, inbox, [](Rank pos) { return [pos](const Block& b) { return b.dest != pos; }; },
+        [N](Rank pos) { return static_cast<Rank>((pos + 1) % N); },
+        [&](Rank pos, Rank next, std::int64_t sent) {
+          const Rank src = order_[static_cast<std::size_t>(pos)];
+          const Rank dst = order_[static_cast<std::size_t>(next)];
+          rec.add(TransferRecord{src, dst, hop_direction(s, s.coord_of(src), s.coord_of(dst)),
+                                 1, sent});
+        });
     trace.steps.push_back(std::move(rec));
   }
-
-  // Postcondition: every position holds exactly N-1 copies of its own
-  // label (one block from every other origin reached it).
-  for (Rank pos = 0; pos < N; ++pos) {
-    const auto& buf = held[static_cast<std::size_t>(pos)];
-    TOREX_CHECK(static_cast<Rank>(buf.size()) == N - 1, "ring exchange lost or grew blocks");
-    for (Rank dpos : buf) TOREX_CHECK(dpos == pos, "ring exchange misdelivered a block");
-  }
+  verify_aape_postcondition(s, held);
   return trace;
 }
 
 ExchangeTrace RingExchange::analytic_trace() const {
   const Rank N = torus_.shape().num_nodes();
-  ExchangeTrace trace;
-  trace.rearrangement_passes = 0;
-  trace.blocks_per_rearrangement = 0;
+  ExchangeTrace trace;  // no rearrangement passes
   trace.steps.reserve(static_cast<std::size_t>(N) - 1);
   for (Rank step = 1; step < N; ++step) {
     StepRecord rec;

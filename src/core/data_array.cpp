@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/exchange_engine.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -62,12 +63,7 @@ LayoutStats run_layout_simulation(const SuhShinAape& algo, LayoutPolicy policy) 
   const TorusShape& shape = algo.shape();
   const Rank N = shape.num_nodes();
 
-  std::vector<std::vector<Block>> buffers(static_cast<std::size_t>(N));
-  for (Rank p = 0; p < N; ++p) {
-    auto& buf = buffers[static_cast<std::size_t>(p)];
-    buf.reserve(static_cast<std::size_t>(N));
-    for (Rank d = 0; d < N; ++d) buf.push_back(Block{p, d});
-  }
+  auto buffers = canonical_blocks(N);
 
   LayoutStats stats;
 

@@ -38,14 +38,14 @@ struct EngineObs {
 ExchangeEngine::ExchangeEngine(const SuhShinAape& algorithm, EngineOptions options)
     : algo_(algorithm), options_(options) {}
 
-void ExchangeEngine::reset() {
-  const Rank N = algo_.shape().num_nodes();
-  buffers_.assign(static_cast<std::size_t>(N), {});
-  for (Rank p = 0; p < N; ++p) {
-    auto& buf = buffers_[static_cast<std::size_t>(p)];
-    buf.reserve(static_cast<std::size_t>(N));
-    for (Rank d = 0; d < N; ++d) buf.push_back(Block{p, d});
+std::vector<std::vector<Block>> canonical_blocks(Rank num_nodes) {
+  std::vector<std::vector<Block>> buffers(static_cast<std::size_t>(num_nodes));
+  for (Rank p = 0; p < num_nodes; ++p) {
+    auto& buf = buffers[static_cast<std::size_t>(p)];
+    buf.reserve(static_cast<std::size_t>(num_nodes));
+    for (Rank d = 0; d < num_nodes; ++d) buf.push_back(Block{p, d});
   }
+  return buffers;
 }
 
 ExchangeTrace ExchangeEngine::run_custom(std::vector<std::vector<Block>> initial) {
@@ -78,14 +78,13 @@ ExchangeTrace ExchangeEngine::run_custom(std::vector<std::vector<Block>> initial
 }
 
 ExchangeTrace ExchangeEngine::run() {
-  reset();
+  buffers_ = canonical_blocks(algo_.shape().num_nodes());
   return play();
 }
 
 ExchangeTrace ExchangeEngine::play() {
   const Rank N = algo_.shape().num_nodes();
   incoming_.assign(static_cast<std::size_t>(N), {});
-  incoming_source_.assign(static_cast<std::size_t>(N), -1);
 
   ExchangeTrace trace;
   const int n = algo_.num_dims();
@@ -123,47 +122,14 @@ ExchangeTrace ExchangeEngine::run_verified() {
 }
 
 void ExchangeEngine::execute_step(int phase, int step, StepRecord& record) {
-  const Rank N = algo_.shape().num_nodes();
-
-  // Send: each node partitions its buffer, keeping non-forwarded blocks
-  // in place and appending forwarded ones to the partner's inbox.
-  for (Rank p = 0; p < N; ++p) {
-    auto& buf = buffers_[static_cast<std::size_t>(p)];
-    auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Block& b) {
-      return !algo_.should_send(p, phase, step, b);
-    });
-    const std::int64_t sent = std::distance(split, buf.end());
-    if (sent == 0) continue;  // idle node (short ring / nothing left): empty message
-
-    const Rank q = algo_.partner(p, phase, step);
-    TOREX_CHECK(q != p, "node addressed itself");
-    auto& inbox = incoming_[static_cast<std::size_t>(q)];
-    TOREX_CHECK(incoming_source_[static_cast<std::size_t>(q)] == -1,
-                "one-port violation: node receives two messages in one step");
-    incoming_source_[static_cast<std::size_t>(q)] = p;
-    inbox.insert(inbox.end(), split, buf.end());
-    buf.erase(split, buf.end());
-
-    record.max_blocks_per_node = std::max(record.max_blocks_per_node, sent);
-    record.total_blocks += sent;
-    if (options_.record_transfers) {
-      record.transfers.push_back(TransferRecord{
-          p, q, algo_.direction(p, phase, step), algo_.hops_per_step(phase), sent});
-    }
-  }
-
-  // Deliver: append inboxes to buffers.
-  for (Rank p = 0; p < N; ++p) {
-    auto& inbox = incoming_[static_cast<std::size_t>(p)];
-    if (inbox.empty()) {
-      incoming_source_[static_cast<std::size_t>(p)] = -1;
-      continue;
-    }
-    auto& buf = buffers_[static_cast<std::size_t>(p)];
-    buf.insert(buf.end(), inbox.begin(), inbox.end());
-    inbox.clear();
-    incoming_source_[static_cast<std::size_t>(p)] = -1;
-  }
+  const std::int32_t hops = algo_.hops_per_step(phase);
+  forward_blocks(
+      buffers_, incoming_, [&](Rank p) { return algo_.send_test(p, phase, step); },
+      [&](Rank p) { return algo_.partner(p, phase, step); },
+      [&](Rank p, Rank q, std::int64_t sent) {
+        record.add(TransferRecord{p, q, algo_.direction(p, phase, step), hops, sent},
+                   options_.record_transfers);
+      });
 }
 
 void ExchangeEngine::check_after_scatter() const {

@@ -9,14 +9,17 @@
 // permutation and the paper's intermediate phase invariants.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "core/aape.hpp"
 #include "core/block.hpp"
 #include "core/trace.hpp"
 #include "obs/recorder.hpp"
+#include "util/assert.hpp"
 
 namespace torex {
 
@@ -48,6 +51,48 @@ struct EngineOptions {
 void verify_aape_postcondition(const TorusShape& shape,
                                const std::vector<std::vector<Block>>& buffers);
 
+/// The canonical AAPE seed: node p holds {(p, d) : d in 0..N-1}, in
+/// destination order.
+std::vector<std::vector<Block>> canonical_blocks(Rank num_nodes);
+
+/// One store-and-forward step of a block-level exchange — the step the
+/// engine, the Bruck, dimension-wise and ring baselines and the padded
+/// runner share. Every node p stable-partitions its buffer by the
+/// predicate `select(p)` returns (true = ship the block), ships the
+/// selected blocks as one message to `to(p)` (asked only when p sends),
+/// and after all nodes have sent, appends each inbox to its buffer.
+/// `on_message(p, q, blocks)` sees every non-empty message in
+/// ascending-sender order. `inbox` is scratch with one empty entry per
+/// node and is left empty. Throws std::logic_error when a node
+/// addresses itself or would receive two messages in one step (the
+/// one-port model).
+template <typename Select, typename To, typename OnMessage>
+void forward_blocks(std::vector<std::vector<Block>>& buffers,
+                    std::vector<std::vector<Block>>& inbox, Select&& select, To&& to,
+                    OnMessage&& on_message) {
+  for (std::size_t i = 0; i < buffers.size(); ++i) {
+    const Rank p = static_cast<Rank>(i);
+    auto& buf = buffers[i];
+    const auto send = select(p);
+    const auto split = std::stable_partition(buf.begin(), buf.end(),
+                                             [&](const Block& b) { return !send(b); });
+    const std::int64_t sent = std::distance(split, buf.end());
+    if (sent == 0) continue;  // idle node: empty message
+    const Rank q = to(p);
+    TOREX_CHECK(q != p, "node addressed itself");
+    auto& in = inbox[static_cast<std::size_t>(q)];
+    TOREX_CHECK(in.empty(), "one-port violation: node receives two messages in one step");
+    in.assign(split, buf.end());
+    buf.erase(split, buf.end());
+    on_message(p, q, sent);
+  }
+  for (std::size_t i = 0; i < buffers.size(); ++i) {
+    auto& in = inbox[i];
+    buffers[i].insert(buffers[i].end(), in.begin(), in.end());
+    in.clear();
+  }
+}
+
 /// Runs one complete exchange over an in-memory model of the torus.
 class ExchangeEngine {
  public:
@@ -76,7 +121,6 @@ class ExchangeEngine {
   void verify_postcondition() const;
 
  private:
-  void reset();
   /// Plays every phase over buffers_ (seeded by the caller): the one
   /// phase/step loop behind run() and run_custom().
   ExchangeTrace play();
@@ -87,8 +131,7 @@ class ExchangeEngine {
   const SuhShinAape& algo_;
   EngineOptions options_;
   std::vector<std::vector<Block>> buffers_;
-  std::vector<std::vector<Block>> incoming_;
-  std::vector<Rank> incoming_source_;  // -1 when none; enforces one-port receive
+  std::vector<std::vector<Block>> incoming_;  // forward_blocks scratch
 };
 
 }  // namespace torex

@@ -7,6 +7,7 @@
 // print per-step series from them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +37,14 @@ struct StepRecord {
   std::int64_t total_blocks = 0;
   /// Per-message detail (present when EngineOptions::record_transfers).
   std::vector<TransferRecord> transfers;
+
+  /// Accounts one message: the block totals always, the per-message
+  /// detail when `keep_transfer`.
+  void add(const TransferRecord& message, bool keep_transfer = true) {
+    max_blocks_per_node = std::max(max_blocks_per_node, message.blocks);
+    total_blocks += message.blocks;
+    if (keep_transfer) transfers.push_back(message);
+  }
 };
 
 /// Full run of an exchange algorithm.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/exchange_engine.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -41,95 +42,46 @@ Rank VirtualTorusAape::host_of(Rank virtual_rank) const {
 }
 
 VirtualExchangeResult VirtualTorusAape::run_verified() const {
-  const TorusShape& vshape = algo_.shape();
-  const Rank V = vshape.num_nodes();
+  const Rank V = algo_.shape().num_nodes();
+  const Rank P = physical_.num_nodes();
 
   // Hosting multiplicity.
-  std::vector<std::int64_t> roles(static_cast<std::size_t>(physical_.num_nodes()), 0);
+  std::vector<std::int64_t> roles(static_cast<std::size_t>(P), 0);
   for (Rank v = 0; v < V; ++v) ++roles[static_cast<std::size_t>(host_of(v))];
 
   VirtualExchangeResult result;
   result.max_roles_per_host = *std::max_element(roles.begin(), roles.end());
 
   // Seed: primary virtual nodes hold blocks for every primary
-  // destination, addressed by virtual rank.
-  std::vector<std::vector<Block>> buffers(static_cast<std::size_t>(V));
+  // destination, addressed by virtual rank. run_custom checks that each
+  // primary receives exactly those and that non-primary roles end empty.
   std::vector<Rank> primaries;
   for (Rank v = 0; v < V; ++v) {
-    if (!is_primary(v)) continue;
-    primaries.push_back(v);
+    if (is_primary(v)) primaries.push_back(v);
   }
+  TOREX_CHECK(static_cast<Rank>(primaries.size()) == P, "primary count mismatch");
+  std::vector<std::vector<Block>> seed(static_cast<std::size_t>(V));
   for (Rank v : primaries) {
-    auto& buf = buffers[static_cast<std::size_t>(v)];
+    auto& buf = seed[static_cast<std::size_t>(v)];
     buf.reserve(primaries.size());
     for (Rank d : primaries) buf.push_back(Block{v, d});
   }
+  ExchangeEngine engine(algo_);
+  result.trace = engine.run_custom(std::move(seed));
+  result.trace.blocks_per_rearrangement = P;
 
-  std::vector<std::vector<Block>> inbox(static_cast<std::size_t>(V));
-  std::vector<std::int64_t> host_sends(static_cast<std::size_t>(physical_.num_nodes()));
-
-  for (int phase = 1; phase <= algo_.num_phases(); ++phase) {
-    for (int step = 1; step <= algo_.steps_in_phase(phase); ++step) {
-      StepRecord rec;
-      rec.phase = phase;
-      rec.step = step;
-      rec.hops = algo_.hops_per_step(phase);
-      std::fill(host_sends.begin(), host_sends.end(), 0);
-      for (Rank v = 0; v < V; ++v) {
-        auto& buf = buffers[static_cast<std::size_t>(v)];
-        if (buf.empty()) continue;
-        auto split = std::stable_partition(buf.begin(), buf.end(), [&](const Block& b) {
-          return !algo_.should_send(v, phase, step, b);
-        });
-        const std::int64_t sent = std::distance(split, buf.end());
-        if (sent == 0) continue;
-        const Rank q = algo_.partner(v, phase, step);
-        auto& in = inbox[static_cast<std::size_t>(q)];
-        in.insert(in.end(), split, buf.end());
-        buf.erase(split, buf.end());
-        rec.max_blocks_per_node = std::max(rec.max_blocks_per_node, sent);
-        rec.total_blocks += sent;
-        ++host_sends[static_cast<std::size_t>(host_of(v))];
-        rec.transfers.push_back(TransferRecord{v, q, algo_.direction(v, phase, step),
-                                               algo_.hops_per_step(phase), sent});
-      }
-      for (Rank v = 0; v < V; ++v) {
-        auto& in = inbox[static_cast<std::size_t>(v)];
-        if (in.empty()) continue;
-        auto& buf = buffers[static_cast<std::size_t>(v)];
-        buf.insert(buf.end(), in.begin(), in.end());
-        in.clear();
-      }
-      const std::int64_t step_serialization =
-          *std::max_element(host_sends.begin(), host_sends.end());
-      result.per_step_host_sends.push_back(std::max<std::int64_t>(step_serialization, 1));
-      result.max_host_serialization =
-          std::max(result.max_host_serialization, step_serialization);
-      result.trace.steps.push_back(std::move(rec));
+  // Host serialization: per step, the most messages one physical node
+  // sends on behalf of its hosted roles.
+  std::vector<std::int64_t> host_sends(static_cast<std::size_t>(P));
+  for (const StepRecord& step : result.trace.steps) {
+    std::fill(host_sends.begin(), host_sends.end(), 0);
+    std::int64_t serialization = 0;
+    for (const TransferRecord& t : step.transfers) {
+      serialization =
+          std::max(serialization, ++host_sends[static_cast<std::size_t>(host_of(t.src))]);
     }
-  }
-  result.trace.rearrangement_passes = algo_.num_dims() + 1;
-  result.trace.blocks_per_rearrangement = physical_.num_nodes();
-
-  // Postcondition over primaries.
-  const Rank P = static_cast<Rank>(primaries.size());
-  TOREX_CHECK(P == physical_.num_nodes(), "primary count mismatch");
-  for (Rank v : primaries) {
-    const auto& buf = buffers[static_cast<std::size_t>(v)];
-    TOREX_CHECK(static_cast<Rank>(buf.size()) == P,
-                "padded exchange: wrong final block count");
-    std::vector<char> seen(static_cast<std::size_t>(V), 0);
-    for (const Block& b : buf) {
-      TOREX_CHECK(b.dest == v, "padded exchange misdelivered a block");
-      TOREX_CHECK(!seen[static_cast<std::size_t>(b.origin)], "duplicate origin");
-      seen[static_cast<std::size_t>(b.origin)] = 1;
-    }
-  }
-  // Non-primary roles must end empty.
-  for (Rank v = 0; v < V; ++v) {
-    if (is_primary(v)) continue;
-    TOREX_CHECK(buffers[static_cast<std::size_t>(v)].empty(),
-                "virtual role still holds blocks after the exchange");
+    result.per_step_host_sends.push_back(std::max<std::int64_t>(serialization, 1));
+    result.max_host_serialization = std::max(result.max_host_serialization, serialization);
   }
   return result;
 }

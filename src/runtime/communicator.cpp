@@ -100,11 +100,21 @@ bool TorusCommunicator::suh_shin_applicable() const {
 CostBreakdown TorusCommunicator::estimate(AlltoallAlgorithm algorithm,
                                           std::int64_t block_bytes) const {
   TOREX_REQUIRE(block_bytes >= 1, "block size must be positive");
+  if (algorithm == AlltoallAlgorithm::kAuto) return estimate(select(block_bytes), block_bytes);
+  const std::pair key(algorithm, block_bytes);
+  if (const auto hit = estimates_.find(key); hit != estimates_.end()) return hit->second;
+  // A caller sweeping block sizes must not grow the memo without bound.
+  if (estimates_.size() >= kMaxMemoizedEstimates) estimates_.clear();
+  return estimates_.emplace(key, price(algorithm, block_bytes)).first->second;
+}
+
+CostBreakdown TorusCommunicator::price(AlltoallAlgorithm algorithm,
+                                       std::int64_t block_bytes) const {
   CostParams p = params_;
   p.m = block_bytes;
   switch (algorithm) {
     case AlltoallAlgorithm::kAuto:
-      return estimate(select(block_bytes), block_bytes);
+      break;  // resolved by estimate()
     case AlltoallAlgorithm::kSuhShin: {
       TOREX_REQUIRE(suh_shin_applicable(), "Suh-Shin schedule not applicable to this shape");
       return proposed_cost_nd(shape_, p);

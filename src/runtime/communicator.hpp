@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -169,6 +170,9 @@ class TorusCommunicator {
   bool suh_shin_applicable() const;
 
   /// Estimated completion time of one algorithm for m-byte blocks.
+  /// Memoized per (algorithm, block size): the price depends only on
+  /// the shape, the parameters and m, and pricing Bruck, direct or the
+  /// padded run replays a whole exchange.
   CostBreakdown estimate(AlltoallAlgorithm algorithm, std::int64_t block_bytes) const;
 
   /// Modeled time of one Suh-Shin phase for m-byte blocks (the full
@@ -559,6 +563,11 @@ class TorusCommunicator {
     return recv;
   }
 
+  /// The unmemoized price behind estimate(); never kAuto.
+  CostBreakdown price(AlltoallAlgorithm algorithm, std::int64_t block_bytes) const;
+
+  static constexpr std::size_t kMaxMemoizedEstimates = 256;
+
   TorusShape shape_;
   CostParams params_;
   /// Built once in the constructor when the shape qualifies; reused by
@@ -576,6 +585,9 @@ class TorusCommunicator {
   /// destination order) and the sealed path (alltoall_checked).
   mutable detail::SendPlan pooled_plan_;
   mutable detail::SendPlan sealed_plan_;
+  /// estimate()'s memo, keyed by (algorithm, block bytes); mutable
+  /// like the arena and plans above.
+  mutable std::map<std::pair<AlltoallAlgorithm, std::int64_t>, CostBreakdown> estimates_;
 };
 
 }  // namespace torex

@@ -249,27 +249,51 @@ void throw_journal_cancelled(int phase, int step);
 /// origin whose deliveries were flushed.
 void throw_direct_delta_cancelled(Rank origin, Rank num_nodes);
 
-/// Resuming a journal that already covers the whole exchange: nothing
-/// crosses the wire; rebuild the delivered buffers from the seed.
-template <typename T>
-ParcelBuffers<T> rebuild_complete(Rank N, ParcelBuffers<T> buffers, ResumeReport& report) {
-  ParcelBuffers<T> out(static_cast<std::size_t>(N));
-  for (Rank origin = 0; origin < N; ++origin) {
-    auto& src = buffers[static_cast<std::size_t>(origin)];
-    for (auto& parcel : src) {
-      if (parcel.block.dest != origin) ++report.materialized;
-      out[static_cast<std::size_t>(parcel.block.dest)].push_back(std::move(parcel));
-    }
-    src.clear();
-  }
-  check_parcel_postcondition(N, out);
-  return out;
-}
-
 inline void journal_flush(ExchangeJournal& journal, const JournalRunOptions& options,
                           ResumeReport& report) {
   if (options.flush) options.flush(journal);
   ++report.journal_flushes;
+}
+
+/// Delivers every parcel straight to its destination, skipping the
+/// schedule: the body of the direct delta, and the rebuild of a journal
+/// that already covers the whole exchange. Durable pairs are
+/// materialized, the rest sent and journaled as one deliveries record
+/// per origin; self parcels count as neither. A complete journal has
+/// nothing left to send, so it is neither flushed nor polled for cancel.
+template <typename T>
+ParcelBuffers<T> deliver_direct(Rank N, ParcelBuffers<T> buffers, ExchangeJournal& journal,
+                                const JournalRunOptions& options, ResumeReport& report) {
+  const bool live = !journal.exchange_complete();
+  ParcelBuffers<T> out(static_cast<std::size_t>(N));
+  std::vector<std::pair<Rank, Rank>> new_deliveries;
+  for (Rank origin = 0; origin < N; ++origin) {
+    new_deliveries.clear();
+    auto& src = buffers[static_cast<std::size_t>(origin)];
+    for (auto& parcel : src) {
+      const Rank dest = parcel.block.dest;
+      if (dest != origin) {
+        if (journal.delivered().test(dest, origin)) {
+          ++report.materialized;
+        } else {
+          ++report.sent_parcels;
+          new_deliveries.emplace_back(dest, origin);
+        }
+      }
+      out[static_cast<std::size_t>(dest)].push_back(std::move(parcel));
+    }
+    src.clear();
+    if (!live) continue;
+    if (!new_deliveries.empty()) {
+      journal.record_deliveries(journal.total_steps(), new_deliveries);
+      journal_flush(journal, options, report);
+    }
+    if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
+      throw_direct_delta_cancelled(origin, N);
+    }
+  }
+  check_parcel_postcondition(N, out);
+  return out;
 }
 
 /// Requires `journal` bound and matching the schedule's geometry.
@@ -362,7 +386,7 @@ ParcelBuffers<T> exchange_payloads_journaled(const SuhShinAape& algo, ParcelBuff
   const WirePoolStats wire_stats_before = arena.stats();
 
   if (journal.exchange_complete()) {
-    return detail::rebuild_complete(N, std::move(buffers), report);
+    return detail::deliver_direct(N, std::move(buffers), journal, options, report);
   }
 
   // Materialize flushed-but-uncommitted deliveries from the canonical
@@ -486,39 +510,15 @@ ParcelBuffers<T> exchange_payloads_direct_journaled(const SuhShinAape& algo,
   Recorder* obs = detail::open_journaled_run(algo, buffers, journal, options, report);
   SpanGuard run_span(obs, "journaled_direct_delta");
 
-  if (journal.exchange_complete()) {
-    return detail::rebuild_complete(N, std::move(buffers), report);
-  }
+  const bool complete = journal.exchange_complete();
+  ParcelBuffers<T> out = detail::deliver_direct(N, std::move(buffers), journal, options, report);
+  if (complete) return out;
 
   // The direct path ignores step structure entirely: all delivery
   // records land on the sentinel flat step total_steps(), and only the
   // final phase is committed. A scheduled resume of such a journal sees
   // zero committed steps and treats every durable pair as
   // flushed-but-uncommitted — materialize + dedup — which is correct.
-  ParcelBuffers<T> out(static_cast<std::size_t>(N));
-  std::vector<std::pair<Rank, Rank>> new_deliveries;
-  for (Rank origin = 0; origin < N; ++origin) {
-    new_deliveries.clear();
-    auto& src = buffers[static_cast<std::size_t>(origin)];
-    for (auto& parcel : src) {
-      const Rank dest = parcel.block.dest;
-      if (journal.delivered().test(dest, origin)) {
-        ++report.materialized;
-      } else if (dest != origin) {
-        ++report.sent_parcels;
-        new_deliveries.emplace_back(dest, origin);
-      }
-      out[static_cast<std::size_t>(dest)].push_back(std::move(parcel));
-    }
-    src.clear();
-    if (!new_deliveries.empty()) {
-      journal.record_deliveries(journal.total_steps(), new_deliveries);
-      detail::journal_flush(journal, options, report);
-    }
-    if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
-      detail::throw_direct_delta_cancelled(origin, N);
-    }
-  }
   while (journal.committed_steps() < journal.total_steps()) {
     journal.commit_step(journal.committed_steps());
   }
@@ -526,8 +526,6 @@ ParcelBuffers<T> exchange_payloads_direct_journaled(const SuhShinAape& algo,
     journal.commit_phase(phase);
   }
   detail::journal_flush(journal, options, report);
-
-  detail::check_parcel_postcondition(N, out);
   TOREX_CHECK(journal.exchange_complete(), "journal incomplete after a finished direct delta");
   if (obs != nullptr) {
     obs->metrics().counter("resume.sent_parcels").add(report.sent_parcels);

@@ -35,7 +35,7 @@ struct WorkerState {
         T(num_threads),
         steps(std::move(step_ids)),
         hook(std::move(hook_fn)),
-        buffers(static_cast<std::size_t>(num_nodes)),
+        buffers(canonical_blocks(num_nodes)),
         inbox(static_cast<std::size_t>(num_nodes)),
         step_total(num_steps),
         step_max(num_steps),
@@ -256,11 +256,6 @@ ExchangeTrace ParallelExchange::run_verified() {
   Recorder* obs = options_.obs != nullptr && options_.obs->enabled() ? options_.obs : nullptr;
   if (obs != nullptr) st->obs = *obs;
   SpanGuard run_span(obs, "parallel_run");
-  for (Rank p = 0; p < N; ++p) {
-    auto& buf = st->buffers[static_cast<std::size_t>(p)];
-    buf.reserve(static_cast<std::size_t>(N));
-    for (Rank d = 0; d < N; ++d) buf.push_back(Block{p, d});
-  }
 
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(T));

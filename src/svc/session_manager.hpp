@@ -244,7 +244,6 @@ class SessionManager {
 
   TorusShape shape_;
   SuhShinAape schedule_;
-  TorusCommunicator comm_;
   SessionManagerOptions options_;
   Recorder* obs_ = nullptr;
   double phase_cost_ = 0.0;

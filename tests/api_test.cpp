@@ -270,6 +270,46 @@ TEST(CommunicatorTest, BruckEstimateAvailableOnAnyShape) {
               chosen == AlltoallAlgorithm::kDirect);
 }
 
+TEST(CommunicatorTest, MemoizedEstimatesPriceAndSelectAsAFreshCommunicator) {
+  // estimate() memoizes per (algorithm, block size). A communicator
+  // answering from its memo must price every row exactly as a fresh one
+  // and make the same kAuto choice: Bruck wins small blocks on 16x16
+  // and 8x8x4, and 10x10 prices the padded run.
+  using A = AlltoallAlgorithm;
+  struct Case {
+    std::vector<std::int32_t> extents;
+    std::vector<A> picks;  // per block size below
+  };
+  const std::vector<std::int64_t> sizes = {1, 8, 64, 4096, std::int64_t{1} << 20};
+  const std::vector<Case> cases = {
+      {{8, 8}, {A::kSuhShin, A::kSuhShin, A::kSuhShin, A::kDirect, A::kDirect}},
+      {{16, 16}, {A::kBruck, A::kSuhShin, A::kSuhShin, A::kSuhShin, A::kDirect}},
+      {{8, 8, 4}, {A::kBruck, A::kBruck, A::kSuhShin, A::kDirect, A::kDirect}},
+      {{10, 10}, {A::kBruck, A::kBruck, A::kBruck, A::kDirect, A::kDirect}}};
+  for (const Case& c : cases) {
+    const TorusShape shape(c.extents);
+    const TorusCommunicator warm(shape, CostParams{});
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      const std::int64_t m = sizes[i];
+      for (A algorithm : {A::kSuhShin, A::kSuhShinPadded, A::kRing, A::kDirect, A::kBruck}) {
+        if (algorithm == A::kSuhShin && !warm.suh_shin_applicable()) continue;
+        const CostBreakdown want =
+            TorusCommunicator(shape, CostParams{}).estimate(algorithm, m);
+        for (int round = 0; round < 2; ++round) {  // the second answers from the memo
+          const CostBreakdown got = warm.estimate(algorithm, m);
+          EXPECT_EQ(got.startup, want.startup) << shape.to_string() << " m=" << m;
+          EXPECT_EQ(got.transmission, want.transmission) << shape.to_string() << " m=" << m;
+          EXPECT_EQ(got.rearrangement, want.rearrangement) << shape.to_string() << " m=" << m;
+          EXPECT_EQ(got.propagation, want.propagation) << shape.to_string() << " m=" << m;
+        }
+      }
+      EXPECT_EQ(warm.select(m), c.picks[i]) << shape.to_string() << " m=" << m;
+      EXPECT_EQ(TorusCommunicator(shape, CostParams{}).select(m), c.picks[i])
+          << shape.to_string() << " m=" << m;
+    }
+  }
+}
+
 TEST(CommunicatorTest, ToStringNames) {
   EXPECT_EQ(to_string(AlltoallAlgorithm::kSuhShin), "suh-shin");
   EXPECT_EQ(to_string(AlltoallAlgorithm::kAuto), "auto");

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "case_names.hpp"
 #include "baselines/bruck.hpp"
@@ -96,6 +98,49 @@ TEST(RingExchangeTest, AnalyticTraceMatchesSimulated) {
   }
 }
 
+TEST(RingExchangeTest, TracePinsTransfers) {
+  // Every step i, each ring position sends N - i blocks one hop to the
+  // next position, in ring order. The Gray ring of a 4-row torus snakes
+  // through its rows: +1 along dim 1 across even rows, -1 across odd
+  // ones, and +1 along dim 0 (wrapping at the end) between rows.
+  const std::string row_pair = "1+1+1+0+1-1-1-0+";
+  for (auto extents : {std::vector<std::int32_t>{4, 4}, {8, 4}}) {
+    const TorusShape shape(extents);
+    const Rank N = shape.num_nodes();
+    RingExchange ring(shape);
+    const ExchangeTrace trace = ring.run_verified();
+    const auto& order = ring.ring_order();
+    std::string dirs;
+    for (const auto& t : trace.steps.front().transfers) {
+      dirs += std::to_string(t.dir.dim) + (t.dir.sign == Sign::kPositive ? '+' : '-');
+    }
+    std::string want;
+    for (std::int32_t r = 0; r < extents[0]; r += 2) want += row_pair;
+    EXPECT_EQ(dirs, want) << shape.to_string();
+    EXPECT_EQ(trace.rearrangement_passes, 0);
+    EXPECT_EQ(trace.blocks_per_rearrangement, 0);
+    ASSERT_EQ(trace.num_steps(), N - 1) << shape.to_string();
+    for (Rank i = 1; i < N; ++i) {
+      const StepRecord& step = trace.steps[static_cast<std::size_t>(i - 1)];
+      EXPECT_EQ(step.phase, 1);
+      EXPECT_EQ(step.step, i);
+      EXPECT_EQ(step.hops, 1);
+      EXPECT_EQ(step.max_blocks_per_node, N - i);
+      EXPECT_EQ(step.total_blocks, std::int64_t{N} * (N - i));
+      ASSERT_EQ(step.transfers.size(), static_cast<std::size_t>(N));
+      for (Rank pos = 0; pos < N; ++pos) {
+        const TransferRecord& t = step.transfers[static_cast<std::size_t>(pos)];
+        const TransferRecord& first = trace.steps.front().transfers[static_cast<std::size_t>(pos)];
+        EXPECT_EQ(t.src, order[static_cast<std::size_t>(pos)]);
+        EXPECT_EQ(t.dst, order[static_cast<std::size_t>((pos + 1) % N)]);
+        EXPECT_EQ(t.dir, first.dir);
+        EXPECT_EQ(t.hops, 1);
+        EXPECT_EQ(t.blocks, N - i);
+      }
+    }
+  }
+}
+
 TEST(RingExchangeTest, NeedsQuadraticallyMoreTransmissionThanCombining) {
   // The motivating comparison: on a 12x12 torus the ring pipeline moves
   // N(N-1)/2 blocks through the busiest node vs RC(C+4)/4 for the
@@ -179,6 +224,29 @@ TEST(BruckExchangeTest, MessageSizesAreAtMostHalfTheBlocks) {
   }
 }
 
+TEST(BruckExchangeTest, RoutedStepsPinPairsAndBlockCounts) {
+  // Step k: every node q sends exactly one message to (q + 2^k) mod N,
+  // in ascending-sender order; on power-of-two N each carries N/2 blocks.
+  for (auto extents : {std::vector<std::int32_t>{4, 4}, {8, 8}, {8, 4, 4}}) {
+    const TorusShape shape(extents);
+    const Rank N = shape.num_nodes();
+    BruckExchange bruck(shape);
+    const auto steps = bruck.run_verified();
+    ASSERT_EQ(static_cast<int>(steps.size()), bruck.num_steps()) << shape.to_string();
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+      const RoutedStep& step = steps[k];
+      ASSERT_EQ(step.messages.size(), static_cast<std::size_t>(N)) << shape.to_string();
+      ASSERT_EQ(step.message_blocks.size(), static_cast<std::size_t>(N));
+      for (Rank q = 0; q < N; ++q) {
+        const auto i = static_cast<std::size_t>(q);
+        EXPECT_EQ(step.messages[i], (std::pair<Rank, Rank>{q, (q + (Rank{1} << k)) % N}))
+            << shape.to_string() << " step " << k;
+        EXPECT_EQ(step.message_blocks[i], N / 2) << shape.to_string() << " step " << k;
+      }
+    }
+  }
+}
+
 TEST(BruckExchangeTest, FewerStartupsButCongestionLosesToCombiningOnTorus) {
   // Bruck needs only ceil(log2 N) startups and even *fewer* nominal
   // critical-path blocks than the combining schedule (N/2 * log2 N =
@@ -239,6 +307,37 @@ TEST(DimwiseExchangeTest, StepCountIsSumOfLogs) {
   EXPECT_EQ(DimwiseExchange(TorusShape({8, 8})).num_steps(), 6);
   EXPECT_EQ(DimwiseExchange(TorusShape({16, 4})).num_steps(), 6);
   EXPECT_EQ(DimwiseExchange(TorusShape({4, 4, 4})).num_steps(), 6);
+}
+
+TEST(DimwiseExchangeTest, RoutedStepsPinPairsAndBlockCounts) {
+  // Dimensions in order, hops 1, 2, 4, ... within each: every node
+  // sends one message +hop along the dimension, in ascending-sender
+  // order, carrying the N/2 blocks whose offset has the hop bit set.
+  for (auto extents : {std::vector<std::int32_t>{4, 4}, {8, 8}, {8, 4, 4}}) {
+    const TorusShape shape(extents);
+    const Rank N = shape.num_nodes();
+    DimwiseExchange dimwise(shape);
+    const auto steps = dimwise.run_verified();
+    ASSERT_EQ(static_cast<int>(steps.size()), dimwise.num_steps()) << shape.to_string();
+    std::size_t k = 0;
+    for (int dim = 0; dim < shape.num_dims(); ++dim) {
+      for (std::int32_t hop = 1; hop < shape.extent(dim); hop *= 2, ++k) {
+        const RoutedStep& step = steps[k];
+        ASSERT_EQ(step.messages.size(), static_cast<std::size_t>(N)) << shape.to_string();
+        ASSERT_EQ(step.message_blocks.size(), static_cast<std::size_t>(N));
+        for (Rank q = 0; q < N; ++q) {
+          Coord to = shape.coord_of(q);
+          to[static_cast<std::size_t>(dim)] =
+              (to[static_cast<std::size_t>(dim)] + hop) % shape.extent(dim);
+          const auto i = static_cast<std::size_t>(q);
+          EXPECT_EQ(step.messages[i], (std::pair<Rank, Rank>{q, shape.rank_of(to)}))
+              << shape.to_string() << " dim " << dim << " hop " << hop;
+          EXPECT_EQ(step.message_blocks[i], N / 2)
+              << shape.to_string() << " dim " << dim << " hop " << hop;
+        }
+      }
+    }
+  }
 }
 
 TEST(DimwiseExchangeTest, SuffersContentionWithoutScheduling) {

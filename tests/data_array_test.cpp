@@ -139,6 +139,40 @@ TEST(VirtualTorusTest, PaddingOverheadIsBoundedByRoleMultiplicity) {
   EXPECT_LE(result.max_host_serialization, result.max_roles_per_host);
 }
 
+TEST(VirtualTorusTest, PinsHostSerializationAndTraceTotals) {
+  // 10x7 pads to 12x8 and 10x10 to 12x12; both run the 8-step schedule
+  // and report host serialization and traffic exactly.
+  struct Pin {
+    std::vector<std::int32_t> extents;
+    std::vector<std::int64_t> host_sends;
+    std::int64_t max_blocks;
+    std::int64_t total_blocks;
+    std::size_t transfers;
+  };
+  for (const Pin& pin : {Pin{{10, 7}, {1, 2, 3, 2, 4, 3, 2, 1}, 351, 16706, 535},
+                         Pin{{10, 10}, {1, 2, 2, 4, 4, 2, 1, 1}, 496, 38800, 860}}) {
+    const TorusShape shape(pin.extents);
+    const VirtualExchangeResult result = VirtualTorusAape(shape).run_verified();
+    EXPECT_EQ(result.per_step_host_sends, pin.host_sends) << shape.to_string();
+    EXPECT_EQ(result.max_host_serialization, 4);
+    EXPECT_EQ(result.max_roles_per_host, 4);
+    const ExchangeTrace& trace = result.trace;
+    EXPECT_EQ(trace.num_steps(), 8);
+    EXPECT_EQ(trace.total_hops(), 22);
+    EXPECT_EQ(trace.total_max_blocks(), pin.max_blocks) << shape.to_string();
+    EXPECT_EQ(trace.rearrangement_passes, 3);
+    EXPECT_EQ(trace.blocks_per_rearrangement, shape.num_nodes());
+    std::int64_t total_blocks = 0;
+    std::size_t transfers = 0;
+    for (const StepRecord& step : trace.steps) {
+      total_blocks += step.total_blocks;
+      transfers += step.transfers.size();
+    }
+    EXPECT_EQ(total_blocks, pin.total_blocks) << shape.to_string();
+    EXPECT_EQ(transfers, pin.transfers) << shape.to_string();
+  }
+}
+
 TEST(VirtualTorusTest, RejectsUnsortedPhysicalShape) {
   EXPECT_THROW(VirtualTorusAape(TorusShape({5, 9})), std::invalid_argument);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <utility>
 
 #include "case_names.hpp"
 #include "core/exchange_engine.hpp"
@@ -229,6 +231,60 @@ TEST(EngineTest, IdleNodesInNonSquareTorusSendNothingLate) {
     // rank-0 dim) still have traffic: their direction dim must be 0.
     EXPECT_EQ(t.dir.dim, 0) << "short-ring node still sending in step 2";
   }
+}
+
+// ---------------------------------------------------------------------------
+// The shared block forwarding step.
+// ---------------------------------------------------------------------------
+
+TEST(ForwardBlocksTest, CanonicalSeedHoldsEveryDestinationInOrder) {
+  const auto seed = canonical_blocks(5);
+  ASSERT_EQ(seed.size(), 5u);
+  for (Rank p = 0; p < 5; ++p) {
+    ASSERT_EQ(seed[static_cast<std::size_t>(p)].size(), 5u);
+    for (Rank d = 0; d < 5; ++d) {
+      EXPECT_EQ(seed[static_cast<std::size_t>(p)][static_cast<std::size_t>(d)], (Block{p, d}));
+    }
+  }
+}
+
+TEST(ForwardBlocksTest, ShipsTheSelectedBlocksAndKeepsTheRestInOrder) {
+  // Every node ships its odd-destination blocks to the next node: the
+  // kept blocks stay in place, arrivals are appended, and each message
+  // is reported once, in ascending-sender order.
+  auto buffers = canonical_blocks(4);
+  std::vector<std::vector<Block>> inbox(4);
+  std::vector<std::pair<Rank, Rank>> messages;
+  forward_blocks(
+      buffers, inbox, [](Rank) { return [](const Block& b) { return b.dest % 2 == 1; }; },
+      [](Rank p) { return static_cast<Rank>((p + 1) % 4); },
+      [&](Rank p, Rank q, std::int64_t sent) {
+        EXPECT_EQ(sent, 2);
+        messages.emplace_back(p, q);
+      });
+  EXPECT_EQ(messages, (std::vector<std::pair<Rank, Rank>>{{0, 1}, {1, 2}, {2, 3}, {3, 0}}));
+  EXPECT_EQ(buffers[1], (std::vector<Block>{{1, 0}, {1, 2}, {0, 1}, {0, 3}}));
+  for (const auto& in : inbox) EXPECT_TRUE(in.empty());
+}
+
+TEST(ForwardBlocksTest, RefusesASelfAddressedMessage) {
+  auto buffers = canonical_blocks(4);
+  std::vector<std::vector<Block>> inbox(4);
+  EXPECT_THROW(forward_blocks(
+                   buffers, inbox, [](Rank) { return [](const Block&) { return true; }; },
+                   [](Rank p) { return p; }, [](Rank, Rank, std::int64_t) {}),
+               std::logic_error);
+}
+
+TEST(ForwardBlocksTest, RefusesASecondMessageIntoOneInbox) {
+  // One-port receive: nodes 0 and 1 both address node 2.
+  auto buffers = canonical_blocks(4);
+  std::vector<std::vector<Block>> inbox(4);
+  EXPECT_THROW(forward_blocks(
+                   buffers, inbox,
+                   [](Rank p) { return [p](const Block&) { return p < 2; }; },
+                   [](Rank) { return Rank{2}; }, [](Rank, Rank, std::int64_t) {}),
+               std::logic_error);
 }
 
 }  // namespace

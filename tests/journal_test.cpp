@@ -476,6 +476,46 @@ TEST(ResumeTest, DirectDeltaBindsAndChecksItsJournal) {
                std::invalid_argument);
 }
 
+TEST(ResumeTest, DirectDeltaCountsNoSelfParcels) {
+  // A fresh direct delta sends every non-self parcel and restores none;
+  // the N self parcels the journal pre-marks never count. Resuming the
+  // finished journal through either entry restores every non-self
+  // parcel, sends nothing and flushes nothing.
+  for (auto extents : {std::vector<std::int32_t>{4, 4}, {8, 4, 4}}) {
+    const TorusShape shape(extents);
+    const SuhShinAape algo(shape);
+    const Rank n = shape.num_nodes();
+    const std::int64_t pairs = std::int64_t{n} * (n - 1);
+    const auto seed = [&] {
+      ParcelBuffers<std::int64_t> parcels(static_cast<std::size_t>(n));
+      for (Rank p = 0; p < n; ++p) {
+        for (Rank q = 0; q < n; ++q) {
+          parcels[static_cast<std::size_t>(p)].push_back({Block{p, q}, std::int64_t{p} * n + q});
+        }
+      }
+      return parcels;
+    };
+
+    ExchangeJournal journal;
+    ResumeReport fresh;
+    exchange_payloads_direct_journaled(algo, seed(), journal, {}, fresh);
+    EXPECT_EQ(fresh.materialized, 0) << shape.to_string();
+    EXPECT_EQ(fresh.sent_parcels, pairs) << shape.to_string();
+    ASSERT_TRUE(journal.exchange_complete());
+
+    ResumeReport direct;
+    exchange_payloads_direct_journaled(algo, seed(), journal, {}, direct);
+    ResumeReport scheduled;
+    exchange_payloads_journaled(algo, seed(), journal, {}, scheduled);
+    for (const ResumeReport* report : {&direct, &scheduled}) {
+      EXPECT_TRUE(report->resumed);
+      EXPECT_EQ(report->materialized, pairs) << shape.to_string();
+      EXPECT_EQ(report->sent_parcels, 0) << shape.to_string();
+      EXPECT_EQ(report->journal_flushes, 0) << shape.to_string();
+    }
+  }
+}
+
 // --- Option validation (construction-time rejection) -------------------
 
 TEST(ValidationTest, BackoffConfigRejectsNonsense) {
